@@ -95,7 +95,7 @@ func TestAllBuiltinsProvideFullToolchain(t *testing.T) {
 			if _, err := m.NewDisassembler(); err != nil {
 				t.Errorf("disassembler: %v", err)
 			}
-			for _, mode := range []golisa.Mode{golisa.Interpretive, golisa.Compiled, golisa.CompiledPrebound} {
+			for _, mode := range []golisa.Mode{golisa.Interpretive, golisa.Compiled} {
 				if _, err := m.NewSimulator(mode); err != nil {
 					t.Errorf("simulator %v: %v", mode, err)
 				}

@@ -360,7 +360,6 @@ var simModes = []struct {
 }{
 	{"interpretive", golisa.Interpretive},
 	{"compiled", golisa.Compiled},
-	{"prebound", golisa.CompiledPrebound},
 }
 
 func BenchmarkSimSimple16(b *testing.B) {
@@ -406,9 +405,8 @@ func BenchmarkSimC62x(b *testing.B) {
 }
 
 // TestSpeedupShape asserts the paper's qualitative result: the compiled
-// simulation technique is strictly faster than the interpretive one on
-// every kernel, and pre-binding is at least as fast as decode-caching
-// alone (E3's "who wins" shape; see EXPERIMENTS.md for factors).
+// simulation technique is strictly faster than the interpretive one
+// (E3's "who wins" shape; see EXPERIMENTS.md for factors).
 func TestSpeedupShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison skipped in -short mode")
@@ -426,22 +424,17 @@ func TestSpeedupShape(t *testing.T) {
 		}
 		perMode[md.name] = (nowSeconds() - start) / float64(cycles)
 	}
-	t.Logf("seconds/cycle: interpretive=%.3g compiled=%.3g prebound=%.3g — speedup compiled=%.1fx prebound=%.1fx",
-		perMode["interpretive"], perMode["compiled"], perMode["prebound"],
-		perMode["interpretive"]/perMode["compiled"],
-		perMode["interpretive"]/perMode["prebound"])
+	t.Logf("seconds/cycle: interpretive=%.3g compiled=%.3g — speedup %.1fx",
+		perMode["interpretive"], perMode["compiled"],
+		perMode["interpretive"]/perMode["compiled"])
 	if perMode["compiled"] >= perMode["interpretive"] {
 		t.Errorf("compiled simulation (%.3g s/cycle) not faster than interpretive (%.3g)",
 			perMode["compiled"], perMode["interpretive"])
 	}
-	if perMode["prebound"] >= perMode["interpretive"] {
-		t.Errorf("prebound simulation (%.3g s/cycle) not faster than interpretive (%.3g)",
-			perMode["prebound"], perMode["interpretive"])
-	}
 }
 
 // TestKernelsCrossModeEquivalence verifies every benchmark kernel ends in
-// identical architectural state under all three simulators (experiment E4's
+// identical architectural state under both in-process simulators (experiment E4's
 // verification methodology applied to the benchmark suite).
 func TestKernelsCrossModeEquivalence(t *testing.T) {
 	for _, tc := range []struct {
@@ -593,7 +586,7 @@ func benchSwitchModel(b *testing.B, src, addStmt string) {
 		prog.WriteString(addStmt + "\n")
 	}
 	prog.WriteString("B 0\n")
-	s, _, err := m.AssembleAndLoad(prog.String(), golisa.CompiledPrebound)
+	s, _, err := m.AssembleAndLoad(prog.String(), golisa.Compiled)
 	if err != nil {
 		b.Fatal(err)
 	}

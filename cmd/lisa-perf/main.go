@@ -147,8 +147,9 @@ func runMeasureish(sub string, args []string) {
 // generatedRunner compiles prog for the generated-code tier and returns
 // a WallRunner executing it through a cached native runner (IR fallback
 // when the toolchain is absent). Compile failures are fatal rather than
-// silently measured on the prebound twin: a "generated" ledger record
-// that actually timed the classic engine would poison every later gate.
+// silently measured on the in-process compiled twin: a "generated" ledger
+// record that actually timed the classic engine would poison every later
+// gate.
 func generatedRunner(mc *core.Machine, src, cacheDir string) func(uint64) (uint64, int64, error) {
 	a, err := mc.NewAssembler()
 	cli.Fail(err)

@@ -96,7 +96,7 @@ func main() {
 	// program is compiled to specialized Go, built into a cached runner
 	// and executed as a subprocess (IR-interpreted in-process when that
 	// is not worth it). Programs or models outside the supported class
-	// fall back to the classic prebound engine below, with a notice.
+	// fall back to the in-process compiled engine below, with a notice.
 	if mode == sim.Generated {
 		if runGenerated(tr, m, &common, string(src), *dumpRegs) {
 			return
@@ -207,7 +207,7 @@ func main() {
 // runGenerated runs the program on the generated-code simulator. It
 // returns false (without output) when the (model, program) pair is
 // outside gosim's supported class, in which case the caller falls back to
-// the classic prebound engine.
+// the in-process compiled engine.
 func runGenerated(tr *otrace.Trace, m *core.Machine, common *cli.Common, src, dumpRegs string) bool {
 	a, err := m.NewAssembler()
 	cli.Fail(err)
@@ -217,7 +217,7 @@ func runGenerated(tr *otrace.Trace, m *core.Machine, common *cli.Common, src, du
 	cli.Fail(err)
 	p, err := gosim.Compile(m, prog)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v; falling back to the prebound engine\n", cli.Tool, err)
+		fmt.Fprintf(os.Stderr, "%s: %v; falling back to the compiled engine\n", cli.Tool, err)
 		return false
 	}
 	eng := gosim.NewEngine(p, gosim.NewCache(common.GenCache), gosim.Options{

@@ -4,9 +4,9 @@
 // An N-tap FIR runs over M samples entirely in simulated assembly — loads,
 // MAC accumulation, saturation, stores and both loop levels with their
 // branch delay slots — and the result is checked against a Go reference.
-// The same program runs on all three simulators to show the cycle counts
-// agree while the wall-clock speed differs (the paper's compiled-simulation
-// claim).
+// The same program runs on both in-process simulators to show the cycle
+// counts agree while the wall-clock speed differs (the paper's
+// compiled-simulation claim).
 //
 //	go run ./examples/fir
 package main
@@ -101,5 +101,4 @@ func main() {
 	fmt.Printf("%d-tap FIR over %d samples on simple16:\n\n", taps, samples)
 	runMode("interpretive", golisa.Interpretive)
 	runMode("compiled", golisa.Compiled)
-	runMode("compiled+prebound", golisa.CompiledPrebound)
 }

@@ -166,8 +166,9 @@ func runHazard(t *testing.T, mode sim.Mode, extra ...trace.Observer) (*sim.Simul
 // identically.
 func TestAttributionInvariant(t *testing.T) {
 	var reports []string
-	for _, mode := range []sim.Mode{sim.Interpretive, sim.Compiled, sim.CompiledPrebound} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, name := range []string{"interpretive", "compiled", "compiled+prebound"} {
+		mode, _ := sim.ParseMode(name)
+		t.Run(name, func(t *testing.T) {
 			a := analyze.New()
 			p := profile.New(profile.Options{Source: "hazard.s", Model: "hazard16"})
 			_, steps := runHazard(t, mode, a, p)

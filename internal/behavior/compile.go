@@ -42,7 +42,9 @@ type cref struct {
 // RunCompiled executes the instance's behavior through its compiled closure,
 // compiling on first use. The compiled form is cached on the instance's
 // variant keyed by instance identity (instances are immutable once bound).
+// Like Run, each call starts a fresh runaway-loop budget.
 func RunCompiled(x *Exec, in *model.Instance) error {
+	x.steps = 0
 	if in.Variant == nil {
 		if err := in.ResolveVariant(); err != nil {
 			return err
@@ -71,7 +73,7 @@ type condKey struct {
 }
 
 // EvalCondCompiled evaluates a behavior expression as a boolean using a
-// cached compiled closure (prebound-mode activation conditions).
+// cached compiled closure (compiled-mode activation conditions).
 func (x *Exec) EvalCondCompiled(in *model.Instance, e ast.Expr) (bool, error) {
 	v, err := x.evalCompiledExpr(in, e)
 	if err != nil {
@@ -81,7 +83,7 @@ func (x *Exec) EvalCondCompiled(in *model.Instance, e ast.Expr) (bool, error) {
 }
 
 // EvalValueCompiled evaluates a behavior expression to a value using a
-// cached compiled closure (prebound-mode activation switch tags).
+// cached compiled closure (compiled-mode activation switch tags).
 func (x *Exec) EvalValueCompiled(in *model.Instance, e ast.Expr) (bitvec.Value, error) {
 	v, err := x.evalCompiledExpr(in, e)
 	if err != nil {

@@ -237,6 +237,27 @@ func TestCompiledRunawayBudget(t *testing.T) {
 	}
 }
 
+// TestCompiledBudgetIsPerRun pins that the runaway-loop budget covers one
+// behavior run, not a whole simulation: many bounded loops whose iterations
+// together exceed the budget must all succeed, as they do interpreted.
+func TestCompiledBudgetIsPerRun(t *testing.T) {
+	d, _ := parser.Parse(compileRegs+`OPERATION op { BEHAVIOR { int i; for (i = 0; i < 10; i++) { r0 += 1; } } }`, "t")
+	m, errs := sema.Build("t", d)
+	if len(errs) > 0 {
+		t.Fatal(errs[0])
+	}
+	x := &Exec{M: m, S: model.NewState(m), Budget: 50}
+	in := model.NewInstance(m.Ops["op"])
+	for run := 0; run < 20; run++ {
+		if err := RunCompiled(x, in); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+	}
+	if got := x.S.Read(m.Resource("r0")).Int(); got != 200 {
+		t.Errorf("r0 = %d after 20 runs, want 200", got)
+	}
+}
+
 // TestCompiledMatchesInterpreterSignedness is the adversarial regression
 // table from the sub-64-bit sign-extension/truncation audit. The two
 // engines share binop/unop (expr.go) but duplicate the builtin

@@ -68,7 +68,7 @@ func (b *Batch) Run(tr *otrace.Trace, mc *core.Machine, mode sim.Mode, max uint6
 		mc = LoadModel(man.Model)
 	}
 	if man.Mode != "" {
-		if mode, err = fleet.ParseMode(man.Mode); err != nil {
+		if mode, err = sim.ParseMode(man.Mode); err != nil {
 			return err
 		}
 	}

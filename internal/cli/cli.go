@@ -1,6 +1,6 @@
 // Package cli holds the plumbing shared by the lisa-* command-line
-// tools: model loading, mode parsing, error exits, and the common flag
-// groups, so a new flag (or a fix to one) lands in every tool at once.
+// tools: model loading, error exits, and the common flag groups, so a
+// new flag (or a fix to one) lands in every tool at once.
 package cli
 
 import (
@@ -41,9 +41,6 @@ func FailUsage(err error) {
 	os.Exit(2)
 }
 
-// ValidModes is the -mode vocabulary, in help-text order.
-const ValidModes = "interpretive, compiled, prebound, generated"
-
 // LoadModel loads a builtin model by name, or a .lisa file by path (the
 // model name is the file's base name without extension). Errors exit.
 func LoadModel(name string) *core.Machine {
@@ -55,22 +52,6 @@ func LoadModel(name string) *core.Machine {
 	m, err := core.LoadMachine(strings.TrimSuffix(filepath.Base(name), ".lisa"), string(src))
 	Fail(err)
 	return m
-}
-
-// ParseMode maps a -mode flag value to a simulation mode.
-func ParseMode(name string) (sim.Mode, error) {
-	switch name {
-	case "interpretive":
-		return sim.Interpretive, nil
-	case "compiled":
-		return sim.Compiled, nil
-	case "prebound":
-		return sim.CompiledPrebound, nil
-	case "generated":
-		return sim.Generated, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q (valid modes: %s)", name, ValidModes)
-	}
 }
 
 // Common is the -model/-mode/-max flag group shared by the simulating
@@ -88,7 +69,7 @@ type Common struct {
 // Register defines the flags on fs (flag.CommandLine in the tools).
 func (c *Common) Register(fs *flag.FlagSet) {
 	fs.StringVar(&c.Model, "model", "simple16", "builtin model name or path to a .lisa file")
-	fs.StringVar(&c.Mode, "mode", "compiled", "simulation mode: "+ValidModes)
+	fs.StringVar(&c.Mode, "mode", "compiled", "simulation mode: "+sim.ValidModes)
 	fs.Uint64Var(&c.Max, "max", 1_000_000, "maximum control steps")
 	fs.StringVar(&c.GenCache, "gen-cache", "", "generated mode: runner build-cache directory (default: a per-user cache dir)")
 	AddVersionFlag(fs)
@@ -99,12 +80,12 @@ func (c *Common) Register(fs *flag.FlagSet) {
 // -mode or a mode-specific flag used without its mode is a usage error
 // (exit 2), so scripts can tell a bad invocation from a failed run.
 func (c *Common) Load() (*core.Machine, sim.Mode) {
-	mode, err := ParseMode(c.Mode)
+	mode, err := sim.ParseMode(c.Mode)
 	if err != nil {
 		FailUsage(err)
 	}
 	if c.GenCache != "" && mode != sim.Generated {
-		FailUsage(fmt.Errorf("-gen-cache applies only to -mode generated, not -mode %s (valid modes: %s)", c.Mode, ValidModes))
+		FailUsage(fmt.Errorf("-gen-cache applies only to -mode generated, not -mode %s (valid modes: %s)", c.Mode, sim.ValidModes))
 	}
 	return LoadModel(c.Model), mode
 }

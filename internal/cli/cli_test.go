@@ -19,19 +19,21 @@ import (
 	"golisa/internal/trace"
 )
 
+// TestParseMode pins the -mode flag vocabulary as Common.Load resolves
+// it: every canonical name and every legacy alias of the compiled engine.
+// Unknown names exit 2 (see TestModeResolutionExitCodes).
 func TestParseMode(t *testing.T) {
 	for name, want := range map[string]sim.Mode{
-		"interpretive": sim.Interpretive,
-		"compiled":     sim.Compiled,
-		"prebound":     sim.CompiledPrebound,
+		"interpretive":      sim.Interpretive,
+		"compiled":          sim.Compiled,
+		"generated":         sim.Generated,
+		"prebound":          sim.Compiled,
+		"compiled+prebound": sim.Compiled,
 	} {
-		got, err := ParseMode(name)
-		if err != nil || got != want {
-			t.Errorf("ParseMode(%q) = %v, %v", name, got, err)
+		c := Common{Model: "simple16", Mode: name}
+		if _, got := c.Load(); got != want {
+			t.Errorf("-mode %s resolved to %v, want %v", name, got, want)
 		}
-	}
-	if _, err := ParseMode("warp"); err == nil {
-		t.Error("ParseMode accepted an unknown mode")
 	}
 }
 

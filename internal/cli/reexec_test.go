@@ -31,7 +31,7 @@ func TestModeResolutionExitCodes(t *testing.T) {
 		os.Exit(0)
 	}
 
-	allModes := []string{"interpretive", "compiled", "prebound", "generated"}
+	allModes := []string{"interpretive", "compiled", "generated"}
 	for _, tc := range []struct {
 		name     string
 		args     string

@@ -42,25 +42,77 @@ func lockstepPair(t *testing.T) (cpu, ref *sim.Simulator) {
 	return cpu, ref
 }
 
-// TestLockstepAgreement runs compiled vs interpretive to completion and
-// expects no divergence: the two scheduling modes are architecturally
-// identical.
+// c62xPacket pads one execute packet to a full 8-word fetch packet.
+func c62xPacket(insn string) string {
+	return insn + "\n" + strings.Repeat("|| NOP\n", 7)
+}
+
+// lockstepPrograms holds one halting loop per stock model. The c62x one
+// is the counted BNZ loop with its body in the branch delay slots.
+var lockstepPrograms = map[string]string{
+	"simple16": lockstepProg,
+	"simd16": `
+        LDI R1, 100
+        LDI R4, 3
+        VCLR
+loop:   VLD V0, R1, 0
+        VMAC V0, V0
+        ADDI R1, 4
+        ADDI R4, -1
+        BNZ R4, loop
+        NOP
+        VSAT V2
+        VRED R8, V2
+        HALT
+`,
+	"c62x": c62xPacket("MVK .S1 A1, 10") + c62xPacket("MVK .S1 A2, 0") +
+		c62xPacket("MVK .S1 A3, 1") + c62xPacket("NOP") + c62xPacket("NOP") +
+		c62xPacket("BNZ .S1 A1, 40") + c62xPacket("ADD .L1 A2, A2, A1") +
+		c62xPacket("SUB .L1 A1, A1, A3") + strings.Repeat(c62xPacket("NOP"), 3) +
+		c62xPacket("IDLE") + c62xPacket("NOP"),
+}
+
+// TestLockstepAgreement runs compiled vs interpretive to completion on
+// every stock model and expects no divergence: the two engines are
+// architecturally identical at every cycle.
 func TestLockstepAgreement(t *testing.T) {
-	cpu, ref := lockstepPair(t)
-	k := New(cpu)
-	ls := NewLockstep(cpu, ref)
-	k.Attach(ls)
-	if _, err := k.Run(10_000); err != nil {
-		t.Fatal(err)
-	}
-	if !cpu.Halted() {
-		t.Fatal("program did not halt")
-	}
-	if ls.Diverged {
-		t.Fatalf("spurious divergence at cycle %d: %s", ls.Cycle, ls.Detail)
-	}
-	if !ref.Halted() {
-		t.Error("reference did not track the CPU to the halt")
+	for _, name := range []string{"simple16", "simd16", "c62x"} {
+		t.Run(name, func(t *testing.T) {
+			m, err := core.LoadBuiltin(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cpu, _, err := m.AssembleAndLoad(lockstepPrograms[name], sim.Compiled)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, _, err := m.AssembleAndLoad(lockstepPrograms[name], sim.Interpretive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := New(cpu)
+			ls := NewLockstep(cpu, ref)
+			k.Attach(ls)
+			if _, err := k.Run(10_000); err != nil {
+				t.Fatal(err)
+			}
+			if !cpu.Halted() {
+				t.Fatal("program did not halt")
+			}
+			if ls.Diverged {
+				t.Fatalf("spurious divergence at cycle %d: %s", ls.Cycle, ls.Detail)
+			}
+			if !ref.Halted() {
+				t.Error("reference did not track the CPU to the halt")
+			}
+			// Interpretive decodes every fetch; compiled serves repeats
+			// from its cache, so lookups (misses + hits) must match.
+			cp, rp := cpu.Profile(), ref.Profile()
+			if cp.Steps != rp.Steps || cp.Stalls != rp.Stalls || cp.Flushes != rp.Flushes ||
+				cp.Retired != rp.Retired || cp.Decodes+cp.DecodeHits != rp.Decodes {
+				t.Errorf("profiles differ: compiled %+v, interpretive %+v", cp, rp)
+			}
+		})
 	}
 }
 

@@ -318,8 +318,9 @@ loop:   SUB A8, A8, B1
 // events mark the expected items.
 func TestLiveRunCoverage(t *testing.T) {
 	mc := loadModel(t, "simple16")
-	for _, mode := range []sim.Mode{sim.Interpretive, sim.Compiled, sim.CompiledPrebound} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, name := range []string{"interpretive", "compiled", "compiled+prebound"} {
+		mode, _ := sim.ParseMode(name)
+		t.Run(name, func(t *testing.T) {
 			s, _, err := mc.AssembleAndLoad(coverKernel, mode)
 			if err != nil {
 				t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 
 	"golisa/internal/bundle"
 	"golisa/internal/otrace"
+	"golisa/internal/trace"
 )
 
 // traceCtxKey carries the request's otrace context through the handler
@@ -122,15 +123,13 @@ func (srv *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 func writeProcessMetrics(w io.Writer) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	fmt.Fprintf(w, "# HELP lisa_process_goroutines Goroutines currently live in the simulator process.\n")
-	fmt.Fprintf(w, "# TYPE lisa_process_goroutines gauge\n")
-	fmt.Fprintf(w, "lisa_process_goroutines %d\n", runtime.NumGoroutine())
-	fmt.Fprintf(w, "# HELP lisa_process_heap_alloc_bytes Heap bytes allocated and still in use.\n")
-	fmt.Fprintf(w, "# TYPE lisa_process_heap_alloc_bytes gauge\n")
-	fmt.Fprintf(w, "lisa_process_heap_alloc_bytes %d\n", ms.HeapAlloc)
-	fmt.Fprintf(w, "# HELP lisa_process_gc_pause_seconds_total Cumulative stop-the-world GC pause time.\n")
-	fmt.Fprintf(w, "# TYPE lisa_process_gc_pause_seconds_total counter\n")
-	fmt.Fprintf(w, "lisa_process_gc_pause_seconds_total %g\n", float64(ms.PauseTotalNs)/1e9)
+	pw := trace.NewPromWriter(w)
+	pw.Head("lisa_process_goroutines", "Goroutines currently live in the simulator process.", "gauge")
+	pw.Printf("lisa_process_goroutines %d\n", runtime.NumGoroutine())
+	pw.Head("lisa_process_heap_alloc_bytes", "Heap bytes allocated and still in use.", "gauge")
+	pw.Printf("lisa_process_heap_alloc_bytes %d\n", ms.HeapAlloc)
+	pw.Head("lisa_process_gc_pause_seconds_total", "Cumulative stop-the-world GC pause time.", "counter")
+	pw.Printf("lisa_process_gc_pause_seconds_total %g\n", float64(ms.PauseTotalNs)/1e9)
 }
 
 // handleBundle captures a diagnostic bundle of the live run and streams

@@ -24,7 +24,7 @@ func BenchmarkFleetScaling(b *testing.B) {
 	b.Run("serial-standalone", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < nJobs; j++ {
-				s, _, err := mc.AssembleAndLoad(src, sim.CompiledPrebound)
+				s, _, err := mc.AssembleAndLoad(src, sim.Compiled)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -41,7 +41,7 @@ func BenchmarkFleetScaling(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sum, err := Run(mc, sim.CompiledPrebound, jobs, Options{Workers: workers})
+				sum, err := Run(mc, sim.Compiled, jobs, Options{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -76,7 +76,7 @@ func BenchmarkFleetTelemetryOverhead(b *testing.B) {
 	run := func(b *testing.B, tele Telemetry) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
-			sum, err := Run(mc, sim.CompiledPrebound, jobs, Options{Workers: workers, Telemetry: tele})
+			sum, err := Run(mc, sim.Compiled, jobs, Options{Workers: workers, Telemetry: tele})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func BenchmarkFleetTelemetryOverhead(b *testing.B) {
 	b.Run("metrics", func(b *testing.B) { run(b, NewMetrics()) })
 	b.Run("full-stack", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sum, err := Run(mc, sim.CompiledPrebound, jobs, Options{
+			sum, err := Run(mc, sim.Compiled, jobs, Options{
 				Workers:   workers,
 				Telemetry: TeleFanout(NewMetrics(), NewChromeSpans(), NewStreamer(io.Discard)),
 			})

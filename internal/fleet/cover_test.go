@@ -35,8 +35,9 @@ func TestFleetCoverageUnion(t *testing.T) {
 		{Name: "halt2", Source: haltOnly},
 		{Name: "loop2", Source: tinyLoop},
 	}
-	for _, mode := range []sim.Mode{sim.Interpretive, sim.Compiled, sim.CompiledPrebound} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, name := range []string{"interpretive", "compiled", "compiled+prebound"} {
+		mode, _ := sim.ParseMode(name)
+		t.Run(name, func(t *testing.T) {
 			sum, err := Run(mc, mode, jobs, Options{Workers: 4, Cover: true})
 			if err != nil {
 				t.Fatal(err)

@@ -2,7 +2,7 @@
 // shared compiled-model artifact. The paper's compiled-simulation
 // principle — decode and bind once, re-execute many times — is applied
 // across runs instead of within one: the model is parsed, analyzed,
-// decoded and (in prebound mode) compiled to closures exactly once
+// decoded and (outside interpretive mode) compiled to closures exactly once
 // (sim.Artifact), and every job gets only the cheap per-run state. M jobs
 // on N worker goroutines therefore pay the model-compilation cost once,
 // which the Summary's counters prove (JobDecodes and JobCompiles stay
@@ -293,7 +293,7 @@ func Run(mc *core.Machine, mode sim.Mode, jobs []Job, opt Options) (*Summary, er
 	// gosim form once; workers share one runner cache, so each (model,
 	// program) pair is `go build`-ed at most once across the whole pool.
 	// Observer-needing options (Analyze/Cover/Chrome) and unsupported
-	// programs stay on the classic prebound artifact path.
+	// programs stay on the in-process compiled artifact path.
 	var genProgs map[string]*gosim.Program
 	var genCache *gosim.Cache
 	if mode == sim.Generated && !opt.Analyze && !opt.Cover && opt.Chrome == nil {

@@ -38,8 +38,9 @@ func firJobs(src string, n int) []Job {
 // standalone simulator, in every mode.
 func TestFleetMatchesSingleRun(t *testing.T) {
 	mc, src := loadFIR(t)
-	for _, mode := range []sim.Mode{sim.Interpretive, sim.Compiled, sim.CompiledPrebound} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, name := range []string{"interpretive", "compiled", "compiled+prebound"} {
+		mode, _ := sim.ParseMode(name)
+		t.Run(name, func(t *testing.T) {
 			ref, _, err := mc.AssembleAndLoad(src, mode)
 			if err != nil {
 				t.Fatal(err)
@@ -69,12 +70,12 @@ func TestFleetMatchesSingleRun(t *testing.T) {
 }
 
 // TestFleetZeroRecompilation is the acceptance check for artifact sharing:
-// with every instruction word pre-warmed, prebound jobs perform zero run-time
+// with every instruction word pre-warmed, compiled jobs perform zero run-time
 // decodes and zero run-time closure compilations — all that work is counted
 // once, on the artifact.
 func TestFleetZeroRecompilation(t *testing.T) {
 	mc, src := loadFIR(t)
-	sum, err := Run(mc, sim.CompiledPrebound, firJobs(src, 8), Options{Workers: 4})
+	sum, err := Run(mc, sim.Compiled, firJobs(src, 8), Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +324,7 @@ func TestServiceRejectsProgramPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Mode != "compiled+prebound" || sum.Results[0].Steps != 10 {
+	if sum.Mode != "compiled" || sum.Results[0].Steps != 10 {
 		t.Errorf("manifest overrides ignored: %+v", sum)
 	}
 }
@@ -343,11 +344,11 @@ func TestFleetScalingSpeedup(t *testing.T) {
 	mc, src := loadFIR(t)
 	jobs := firJobs(src, 32)
 
-	serial, err := Run(mc, sim.CompiledPrebound, jobs, Options{Workers: 1})
+	serial, err := Run(mc, sim.Compiled, jobs, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(mc, sim.CompiledPrebound, jobs, Options{Workers: 4})
+	par, err := Run(mc, sim.Compiled, jobs, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func TestFleetGeneratedFallbackWithoutToolchain(t *testing.T) {
 }
 
 // TestFleetGeneratedMatchesClassic cross-checks the generated tier inside
-// the fleet against the same batch on the classic prebound engine: same
+// the fleet against the same batch on the in-process compiled engine: same
 // step counts per job, job for job.
 func TestFleetGeneratedMatchesClassic(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
@@ -106,7 +106,7 @@ func TestFleetGeneratedMatchesClassic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	classic, err := Run(mc, sim.CompiledPrebound, jobs, Options{Workers: 2})
+	classic, err := Run(mc, sim.Compiled, jobs, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

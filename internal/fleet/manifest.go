@@ -18,7 +18,7 @@ import (
 // the debug server's /batch endpoint.
 type Manifest struct {
 	Model     string `json:"model,omitempty"`   // builtin model name (defaults to the host's model)
-	Mode      string `json:"mode,omitempty"`    // interpretive | compiled | prebound
+	Mode      string `json:"mode,omitempty"`    // interpretive | compiled | generated (see sim.ParseMode)
 	Workers   int    `json:"workers,omitempty"` // 0 = GOMAXPROCS
 	Max       uint64 `json:"max,omitempty"`     // default per-job step cap
 	Analyze   bool   `json:"analyze,omitempty"`
@@ -162,7 +162,7 @@ func (sv *Service) RunTraced(man *Manifest, tele Telemetry, tr *otrace.Trace) (*
 	mode := sv.Mode
 	if man.Mode != "" {
 		var err error
-		if mode, err = ParseMode(man.Mode); err != nil {
+		if mode, err = sim.ParseMode(man.Mode); err != nil {
 			return nil, fmt.Errorf("batch: %v", err)
 		}
 	}
@@ -186,20 +186,4 @@ func (sv *Service) RunTraced(man *Manifest, tele Telemetry, tr *otrace.Trace) (*
 		opt.MaxPrints = sv.MaxPrints
 	}
 	return Run(sv.Machine, mode, man.Jobs, opt)
-}
-
-// ParseMode maps a manifest mode name to a simulation mode.
-func ParseMode(name string) (sim.Mode, error) {
-	switch name {
-	case "interpretive":
-		return sim.Interpretive, nil
-	case "compiled":
-		return sim.Compiled, nil
-	case "prebound", "compiled+prebound":
-		return sim.CompiledPrebound, nil
-	case "generated":
-		return sim.Generated, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q (valid modes: interpretive, compiled, prebound, generated)", name)
-	}
 }

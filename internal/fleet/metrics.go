@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"golisa/internal/cover"
+	"golisa/internal/trace"
 )
 
 // latencyBuckets are the upper bounds (seconds) of the exposed job
@@ -140,12 +140,8 @@ func (m *Metrics) OnBatchEnd(sum *Summary) {
 func (m *Metrics) WriteText(w io.Writer) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ew := &metricsErrWriter{w: w}
-	p := func(format string, args ...any) { fmt.Fprintf(ew, format, args...) }
-	head := func(name, help, typ string) {
-		p("# HELP %s %s\n", name, help)
-		p("# TYPE %s %s\n", name, typ)
-	}
+	pw := trace.NewPromWriter(w)
+	p, head := pw.Printf, pw.Head
 
 	for _, c := range []struct {
 		name, help string
@@ -171,7 +167,7 @@ func (m *Metrics) WriteText(w io.Writer) error {
 	// earlier expositions byte-identical.
 	if m.lastTraceID != "" {
 		head("lisa_fleet_last_batch_trace_info", "Trace ID of the most recent batch (join key into NDJSON streams, perf records and Chrome timelines).", "gauge")
-		p("lisa_fleet_last_batch_trace_info{trace_id=\"%s\"} 1\n", promLabelEscape(m.lastTraceID))
+		p("lisa_fleet_last_batch_trace_info{trace_id=\"%s\"} 1\n", trace.PromEscape(m.lastTraceID))
 	}
 
 	head("lisa_fleet_job_latency_seconds", "Per-job run latency (worker pickup to finish).", "histogram")
@@ -191,7 +187,7 @@ func (m *Metrics) WriteText(w io.Writer) error {
 	}
 	sort.Strings(causes)
 	for _, c := range causes {
-		p("lisa_fleet_penalty_cycles_total{cause=\"%s\"} %d\n", promLabelEscape(c), m.penalty[c])
+		p("lisa_fleet_penalty_cycles_total{cause=\"%s\"} %d\n", trace.PromEscape(c), m.penalty[c])
 	}
 
 	// Coverage gauges appear only once a covered batch ran, so batches
@@ -199,14 +195,14 @@ func (m *Metrics) WriteText(w io.Writer) error {
 	if m.cov != nil {
 		head("lisa_cover_items", "Coverable model items per domain (unreachable leaves excluded).", "gauge")
 		for _, d := range m.cov.Domains {
-			p("lisa_cover_items{domain=\"%s\"} %d\n", promLabelEscape(d.Name), d.Total)
+			p("lisa_cover_items{domain=\"%s\"} %d\n", trace.PromEscape(d.Name), d.Total)
 		}
 		head("lisa_cover_covered", "Model items covered so far per domain, unioned over covered batches.", "gauge")
 		for _, d := range m.cov.Domains {
-			p("lisa_cover_covered{domain=\"%s\"} %d\n", promLabelEscape(d.Name), d.Covered)
+			p("lisa_cover_covered{domain=\"%s\"} %d\n", trace.PromEscape(d.Name), d.Covered)
 		}
 	}
-	return ew.err
+	return pw.Err()
 }
 
 // formatBound renders a bucket bound the way Prometheus clients do:
@@ -215,27 +211,4 @@ func (m *Metrics) WriteText(w io.Writer) error {
 func formatBound(b float64) string {
 	s := fmt.Sprintf("%g", b)
 	return s
-}
-
-// promLabelEscape escapes a label value per the Prometheus text
-// exposition format (mirrors trace's promEscape; duplicated to keep the
-// dependency direction fleet → trace unidirectional at the event layer).
-func promLabelEscape(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(s)
-}
-
-// metricsErrWriter latches the first write error.
-type metricsErrWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *metricsErrWriter) Write(p []byte) (int, error) {
-	if e.err != nil {
-		return len(p), nil
-	}
-	n, err := e.w.Write(p)
-	e.err = err
-	return n, nil
 }

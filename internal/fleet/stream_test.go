@@ -51,7 +51,7 @@ func TestFleetStreamDeliversMidBatch(t *testing.T) {
 	firstSeen := int32(-1)
 	w := &firstWriteWriter{first: func() { firstSeen = finished.Load() }}
 	st := NewStreamer(w)
-	sum, err := Run(mc, sim.CompiledPrebound, firJobs(src, nJobs),
+	sum, err := Run(mc, sim.Compiled, firJobs(src, nJobs),
 		Options{Workers: 2, Telemetry: TeleFanout(finishCounter{n: &finished}, st)})
 	if err != nil {
 		t.Fatal(err)

@@ -58,7 +58,7 @@ func TestFleetTelemetryEventOrder(t *testing.T) {
 	const nJobs = 6
 	const workers = 2
 	rec := &recTele{}
-	sum, err := Run(mc, sim.CompiledPrebound, firJobs(src, nJobs), Options{Workers: workers, Telemetry: rec})
+	sum, err := Run(mc, sim.Compiled, firJobs(src, nJobs), Options{Workers: workers, Telemetry: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestFleetTelemetryEventOrder(t *testing.T) {
 		t.Fatalf("first event %q, want batch-start", evs[0].kind)
 	}
 	info := evs[0].info
-	if info.Model != "simple16" || info.Jobs != nJobs || info.Workers != workers || info.Mode != sim.CompiledPrebound.String() {
+	if info.Model != "simple16" || info.Jobs != nJobs || info.Workers != workers || info.Mode != sim.Compiled.String() {
 		t.Errorf("BatchInfo = %+v", info)
 	}
 

@@ -5,8 +5,8 @@
 // switch at generation time — builds it with the host Go toolchain into a
 // standalone runner, and executes the runner as a subprocess speaking a
 // small NDJSON result protocol. This is the paper's compiled-simulation
-// principle taken to its conclusion: where sim's "compiled" modes
-// pre-bind closures inside the generic scheduler, gosim emits straight-
+// principle taken to its conclusion: where sim's compiled mode
+// pre-binds closures inside the generic scheduler, gosim emits straight-
 // line host code the Go compiler optimizes per (model, program) pair.
 //
 // When the toolchain is unavailable, or the program is too short to
@@ -32,7 +32,7 @@ import (
 
 // ErrUnsupported marks a (model, program) pair outside gosim's statically
 // schedulable class. Callers match it with errors.Is and fall back to the
-// interpretive/prebound engines.
+// interpretive/compiled engines.
 var ErrUnsupported = errors.New("unsupported by the generated-code simulator")
 
 // Backend selects how an Engine executes.
@@ -40,8 +40,8 @@ type Backend int
 
 const (
 	// Auto builds and runs a native runner when the Go toolchain is on
-	// PATH and the program is at least MinBuildWords long; otherwise it
-	// runs the in-process IR interpreter.
+	// PATH and the program is at least DefaultMinBuildWords long;
+	// otherwise it runs the in-process IR interpreter.
 	Auto Backend = iota
 	// ForceIR always runs the in-process interpreter.
 	ForceIR
@@ -58,8 +58,6 @@ const DefaultMinBuildWords = 4
 // Options shapes one Engine.
 type Options struct {
 	Backend Backend
-	// MinBuildWords overrides the Auto build threshold (0 = default).
-	MinBuildWords int
 	// OnPrint receives each print() line as it retires; nil collects
 	// lines only into Result.Prints.
 	OnPrint func(string)
@@ -113,9 +111,6 @@ type Engine struct {
 // NewEngine creates an engine over a compiled program. cache may be nil,
 // which confines Auto to the IR interpreter.
 func NewEngine(p *Program, cache *Cache, opt Options) *Engine {
-	if opt.MinBuildWords <= 0 {
-		opt.MinBuildWords = DefaultMinBuildWords
-	}
 	return &Engine{P: p, Cache: cache, Opt: opt}
 }
 
@@ -154,8 +149,8 @@ func (e *Engine) nativeObstacle() string {
 	if e.Cache == nil {
 		return "no runner cache configured"
 	}
-	if e.Opt.Backend == Auto && len(e.P.Words) < e.Opt.MinBuildWords {
-		return fmt.Sprintf("program has %d words, below the %d-word build threshold", len(e.P.Words), e.Opt.MinBuildWords)
+	if e.Opt.Backend == Auto && len(e.P.Words) < DefaultMinBuildWords {
+		return fmt.Sprintf("program has %d words, below the %d-word build threshold", len(e.P.Words), DefaultMinBuildWords)
 	}
 	if _, err := exec.LookPath("go"); err != nil {
 		return "go toolchain not found in PATH"

@@ -58,8 +58,9 @@ func runProfiled(t *testing.T, mode sim.Mode) (*profile.Profiler, sim.Profile) {
 // TestCycleAttributionTotal checks the profiler's core invariant: the sum
 // of per-site cycles (plus idle) equals the simulator's step count.
 func TestCycleAttributionTotal(t *testing.T) {
-	for _, mode := range []sim.Mode{sim.Interpretive, sim.Compiled, sim.CompiledPrebound} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, name := range []string{"interpretive", "compiled", "compiled+prebound"} {
+		mode, _ := sim.ParseMode(name)
+		t.Run(name, func(t *testing.T) {
 			p, prof := runProfiled(t, mode)
 			if p.Steps() != prof.Steps {
 				t.Fatalf("profiler steps %d != sim steps %d", p.Steps(), prof.Steps)

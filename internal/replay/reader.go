@@ -83,6 +83,9 @@ func Parse(data []byte) (*Recording, error) {
 	if d.err != nil || nOps > uint64(len(data)) {
 		return nil, fmt.Errorf("truncated header")
 	}
+	if err := checkMode(rec.Mode); err != nil {
+		return nil, err
+	}
 	for i := uint64(0); i < nOps && d.err == nil; i++ {
 		rec.Ops = append(rec.Ops, d.str())
 	}
@@ -99,6 +102,21 @@ func Parse(data []byte) (*Recording, error) {
 	rec.body = d.off
 	rec.scan()
 	return rec, nil
+}
+
+// retiredCacheOnlyMode is the header mode byte of the decode-cache-only
+// engine that was folded into sim.Compiled.
+const retiredCacheOnlyMode = sim.Mode(1)
+
+// checkMode rejects a header mode byte that names no current engine.
+func checkMode(m sim.Mode) error {
+	if m == retiredCacheOnlyMode {
+		return fmt.Errorf("recorded with the retired decode-cache-only \"compiled\" engine (mode byte 1); re-record with -mode compiled")
+	}
+	if _, err := sim.ParseMode(m.String()); err != nil {
+		return fmt.Errorf("header names unknown simulation mode %d", int(m))
+	}
+	return nil
 }
 
 // scan walks the record stream once, indexing checkpoints and counting.

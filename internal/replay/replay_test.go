@@ -2,6 +2,7 @@ package replay_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -224,8 +225,9 @@ func TestRecordReplayGotoAllModels(t *testing.T) {
 }
 
 func TestVerifyFullRecording(t *testing.T) {
-	for _, mode := range []sim.Mode{sim.Interpretive, sim.Compiled, sim.CompiledPrebound} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, name := range []string{"interpretive", "compiled", "compiled+prebound"} {
+		mode, _ := sim.ParseMode(name)
+		t.Run(name, func(t *testing.T) {
 			c := recCases()[0]
 			data, hashes := recordRun(t, c, mode, replay.Options{Every: 32}, nil)
 			rec, err := replay.Parse(data)
@@ -247,6 +249,53 @@ func TestVerifyFullRecording(t *testing.T) {
 				t.Fatalf("verify checked %d events, %d hashes; want both > 0", rep.Events, rep.Hashes)
 			}
 		})
+	}
+}
+
+// TestHeaderModeByte pins the header's mode byte across the engine
+// collapse: byte 2, written by the closure engine under its old name
+// "compiled+prebound" and by sim.Compiled today, loads, replays and
+// verifies; byte 1, the retired decode-cache-only engine, and unknown
+// bytes fail to load with an error naming the mode.
+func TestHeaderModeByte(t *testing.T) {
+	c := recCases()[0]
+	data, _ := recordRun(t, c, sim.Compiled, replay.Options{Every: 32}, nil)
+	mach, err := core.LoadBuiltin(c.model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Header: magic, uvarint version, model name and source as
+	// length-prefixed strings, then the mode byte.
+	at := len("LREC1") + 1
+	for _, str := range []string{mach.Model.Name, mach.Source} {
+		at += len(binary.AppendUvarint(nil, uint64(len(str)))) + len(str)
+	}
+	if data[at] != 2 {
+		t.Fatalf("mode byte = %d, want 2", data[at])
+	}
+	rec, err := replay.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := replay.NewReplayer(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Sim.Mode() != sim.Compiled {
+		t.Fatalf("replayer mode = %v, want compiled", r.Sim.Mode())
+	}
+	if _, err := r.Verify(); err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	for _, tc := range []struct {
+		b    byte
+		want string
+	}{{1, `decode-cache-only "compiled" engine`}, {9, "unknown simulation mode 9"}} {
+		bad := append([]byte(nil), data...)
+		bad[at] = tc.b
+		if _, err := replay.Parse(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("mode byte %d: err = %v, want it to mention %q", tc.b, err, tc.want)
+		}
 	}
 }
 

@@ -13,11 +13,11 @@ import (
 
 // Artifact is the immutable, shareable half of a simulator: the parsed
 // model, the decoder over its coding tables, pre-bound static instances,
-// a pre-warmed decode cache, and (in prebound mode) the pre-compiled
-// behavior closures. It is built once — NewArtifact plus optional Prewarm
-// calls — and then shared by any number of simulators created with
-// NewFromArtifact, which allocate only the cheap per-run state (machine
-// state, pipelines, time wheel, profile).
+// a pre-warmed decode cache, and (outside interpretive mode) the
+// pre-compiled behavior closures. It is built once — NewArtifact plus
+// optional Prewarm calls — and then shared by any number of simulators
+// created with NewFromArtifact, which allocate only the cheap per-run
+// state (machine state, pipelines, time wheel, profile).
 //
 // This extends the paper's compiled-simulation principle (decode and bind
 // once, re-execute many times) from "once per distinct word in one run" to
@@ -49,9 +49,9 @@ type Artifact struct {
 
 // NewArtifact compiles the shareable simulator state for the model in the
 // given mode: the decoder, a static (unbound) instance for every operation
-// whose variant resolves without bindings, and — in prebound mode — the
-// compiled behavior closures and activation expressions of those
-// instances. Call Prewarm to also pre-decode known instruction words, then
+// whose variant resolves without bindings, and — outside interpretive
+// mode — the compiled behavior closures and activation expressions of
+// those instances. Call Prewarm to also pre-decode known instruction words, then
 // NewFromArtifact for each run.
 func NewArtifact(m *model.Model, mode Mode) *Artifact {
 	a := &Artifact{
@@ -62,7 +62,7 @@ func NewArtifact(m *model.Model, mode Mode) *Artifact {
 		decode: map[decodeKey]*model.Instance{},
 		buildX: &behavior.Exec{M: m, S: model.NewState(m)},
 	}
-	if mode.prebinds() {
+	if mode != Interpretive {
 		a.shared = behavior.NewCompiledSet()
 	}
 	// Pre-bind the operations reachable without operand bindings (main,
@@ -86,7 +86,7 @@ func NewArtifact(m *model.Model, mode Mode) *Artifact {
 func (a *Artifact) Mode() Mode { return a.mode }
 
 // Prewarm decodes each word through every coding root of the model and
-// caches the bound (and, in prebound mode, pre-compiled) instance trees.
+// caches the bound and pre-compiled instance trees.
 // Duplicate words cost nothing; words that do not decode are skipped — a
 // job that actually executes such a word reports the error at run time,
 // exactly as with a cold cache. Interpretive-mode artifacts ignore Prewarm
@@ -136,8 +136,8 @@ func (a *Artifact) Prewarm(words []uint64) error {
 func (a *Artifact) Decodes() uint64 { return a.decodes }
 
 // Compiles returns the number of behavior closures and activation
-// expressions pre-compiled into the artifact (prebound mode; zero
-// otherwise).
+// expressions pre-compiled into the artifact (zero in interpretive
+// mode).
 func (a *Artifact) Compiles() uint64 {
 	if a.shared == nil {
 		return 0

@@ -45,8 +45,9 @@ func checkArtifactRun(t *testing.T, s *Simulator) {
 
 func TestArtifactMatchesStandalone(t *testing.T) {
 	m := buildModel(t, tiny16)
-	for _, mode := range []Mode{Interpretive, Compiled, CompiledPrebound} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, name := range []string{"interpretive", "compiled", "compiled+prebound"} {
+		mode, _ := ParseMode(name)
+		t.Run(name, func(t *testing.T) {
 			ref := newSim(t, mode, artifactProg)
 			nRef, err := ref.Run(100)
 			if err != nil {
@@ -79,8 +80,9 @@ func TestArtifactMatchesStandalone(t *testing.T) {
 
 func TestArtifactPrewarmEliminatesJobDecodes(t *testing.T) {
 	m := buildModel(t, tiny16)
-	for _, mode := range []Mode{Compiled, CompiledPrebound} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, name := range []string{"compiled", "compiled+prebound"} {
+		mode, _ := ParseMode(name)
+		t.Run(name, func(t *testing.T) {
 			a := NewArtifact(m, mode)
 			if err := a.Prewarm(artifactProg); err != nil {
 				t.Fatal(err)
@@ -97,13 +99,11 @@ func TestArtifactPrewarmEliminatesJobDecodes(t *testing.T) {
 			if p.SharedDecodeHits == 0 || p.SharedDecodeHits != p.DecodeHits {
 				t.Errorf("shared hits = %d of %d decode hits, want all shared", p.SharedDecodeHits, p.DecodeHits)
 			}
-			if mode == CompiledPrebound {
-				if a.Compiles() == 0 {
-					t.Error("prebound artifact compiled nothing")
-				}
-				if p.Compiles != 0 {
-					t.Errorf("job compiled %d closures at run time, want 0", p.Compiles)
-				}
+			if a.Compiles() == 0 {
+				t.Error("compiled artifact compiled nothing")
+			}
+			if p.Compiles != 0 {
+				t.Errorf("job compiled %d closures at run time, want 0", p.Compiles)
 			}
 		})
 	}
@@ -149,8 +149,9 @@ func TestArtifactPrewarmAfterFreezeFails(t *testing.T) {
 // decode-overlay path is exercised concurrently too.
 func TestArtifactConcurrentSims(t *testing.T) {
 	m := buildModel(t, tiny16)
-	for _, mode := range []Mode{Compiled, CompiledPrebound} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, name := range []string{"compiled", "compiled+prebound"} {
+		mode, _ := ParseMode(name)
+		t.Run(name, func(t *testing.T) {
 			a := NewArtifact(m, mode)
 			if err := a.Prewarm(artifactProg[:len(artifactProg)-1]); err != nil {
 				t.Fatal(err)

@@ -20,21 +20,49 @@ import (
 // Mode selects the simulation technique.
 type Mode int
 
-// Simulation modes. Interpretive re-decodes the instruction word on every
-// execution of a coding root; Compiled decodes once per distinct word and
-// reuses the bound instance (the paper's compiled-simulation principle);
-// CompiledPrebound additionally pre-compiles behavior into closures.
+// Simulation modes. Interpretive re-decodes the instruction word and walks
+// the behavior AST on every execution — the paper's baseline and the
+// reference every other engine is checked against. Compiled decodes once
+// per distinct word, reuses the bound instance and runs its behavior as
+// pre-compiled closures (the paper's compiled-simulation principle).
 // Generated is the true compiled tier (internal/gosim): the program is
 // translated to specialized Go code. A sim.Simulator built in Generated
-// mode behaves exactly like CompiledPrebound — it is the in-process
-// fallback engine the generated tier degrades to when a model or program
-// is outside the static-schedule class gosim can translate.
+// mode behaves exactly like Compiled — it is the in-process fallback
+// engine the generated tier degrades to when a model or program is
+// outside the static-schedule class gosim can translate.
+//
+// The values are stored in .lrec headers. Value 1 belonged to a retired
+// decode-cache-only engine and stays unassigned.
 const (
-	Interpretive Mode = iota
-	Compiled
-	CompiledPrebound
-	Generated
+	Interpretive Mode = 0
+	Compiled     Mode = 2
+	Generated    Mode = 3
+
+	// Deprecated: CompiledPrebound is the former name of Compiled.
+	CompiledPrebound = Compiled
 )
+
+// modeNames maps every accepted mode name to its mode: the canonical
+// names String returns, plus legacy aliases of Compiled.
+var modeNames = map[string]Mode{
+	"interpretive":      Interpretive,
+	"compiled":          Compiled,
+	"generated":         Generated,
+	"prebound":          Compiled,
+	"compiled+prebound": Compiled,
+}
+
+// ValidModes lists the canonical mode names, in help-text order.
+const ValidModes = "interpretive, compiled, generated"
+
+// ParseMode maps a mode name — a -mode flag value, a batch manifest's
+// "mode" — to a simulation mode. Legacy aliases of Compiled are accepted.
+func ParseMode(name string) (Mode, error) {
+	if m, ok := modeNames[name]; ok {
+		return m, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q (valid modes: %s)", name, ValidModes)
+}
 
 func (m Mode) String() string {
 	switch m {
@@ -42,8 +70,6 @@ func (m Mode) String() string {
 		return "interpretive"
 	case Compiled:
 		return "compiled"
-	case CompiledPrebound:
-		return "compiled+prebound"
 	case Generated:
 		return "generated"
 	default:
@@ -56,7 +82,7 @@ type Profile struct {
 	Steps       uint64            // control steps executed
 	Execs       map[string]uint64 // operation executions by name
 	Decodes     uint64            // coding-root decode operations performed
-	DecodeHits  uint64            // decode-cache hits (compiled modes)
+	DecodeHits  uint64            // decode-cache hits (zero in interpretive mode)
 	Activations uint64            // scheduled activations
 	Retired     uint64            // packets retired from last pipeline stages
 
@@ -73,7 +99,7 @@ type Profile struct {
 	// DecodeHits served from a shared artifact's pre-warmed cache;
 	// Compiles counts behavior closures and activation expressions
 	// compiled by this simulator at run time (pre-compiled artifact
-	// closures do not count). A fully pre-warmed prebound fleet job keeps
+	// closures do not count). A fully pre-warmed compiled fleet job keeps
 	// both Decodes and Compiles at zero — the zero-recompilation property
 	// the fleet asserts.
 	SharedDecodeHits uint64
@@ -510,22 +536,17 @@ func (s *Simulator) execute(it runItem) error {
 	return nil
 }
 
-// prebinds reports whether a mode pre-compiles behavior into closures.
-// Generated shares the prebound in-process engine: the gosim tier runs
-// outside the Simulator entirely, so a Generated Simulator is the
-// fallback and must be the fastest interpreter available.
-func (m Mode) prebinds() bool { return m == CompiledPrebound || m == Generated }
-
-// runBehavior dispatches to the mode's execution engine.
+// runBehavior dispatches to the mode's execution engine: the AST walker
+// in interpretive mode, pre-compiled closures otherwise.
 func (s *Simulator) runBehavior(in *model.Instance) error {
-	if s.mode.prebinds() {
-		return s.runPrebound(in)
+	if s.mode == Interpretive {
+		return s.x.Run(in)
 	}
-	return s.x.Run(in)
+	return behavior.RunCompiled(s.x, in)
 }
 
 // decodeRoot reads the root's compared resource and decodes it into a bound
-// instance, using the decode cache in compiled modes.
+// instance, using the decode cache outside interpretive mode.
 func (s *Simulator) decodeRoot(op *model.Operation) (*model.Instance, error) {
 	if op.RootResource == nil {
 		return nil, fmt.Errorf("coding root %s has no resource", op.Name)
@@ -533,18 +554,13 @@ func (s *Simulator) decodeRoot(op *model.Operation) (*model.Instance, error) {
 	word := s.S.Read(op.RootResource)
 	if s.mode != Interpretive {
 		key := decodeKey{op, word.Uint()}
-		if in, ok := s.sharedDecode[key]; ok {
-			s.prof.DecodeHits++
+		in, ok := s.sharedDecode[key]
+		if ok {
 			s.prof.SharedDecodeHits++
-			if s.obs != nil {
-				s.obs.OnDecode(op.Name, word.Uint(), true)
-			}
-			if s.OnDecoded != nil {
-				s.OnDecoded(in)
-			}
-			return in, nil
+		} else {
+			in, ok = s.decodeCache[key]
 		}
-		if in, ok := s.decodeCache[key]; ok {
+		if ok {
 			s.prof.DecodeHits++
 			if s.obs != nil {
 				s.obs.OnDecode(op.Name, word.Uint(), true)
@@ -685,21 +701,21 @@ func (s *Simulator) processActivation(in *model.Instance, items []ast.ActItem, c
 	return nil
 }
 
-// evalCond evaluates an activation condition, using compiled closures in
-// prebound mode.
+// evalCond evaluates an activation condition, using compiled closures
+// outside interpretive mode.
 func (s *Simulator) evalCond(in *model.Instance, e ast.Expr) (bool, error) {
-	if s.mode.prebinds() {
-		return s.x.EvalCondCompiled(in, e)
+	if s.mode == Interpretive {
+		return s.x.EvalCond(in, e)
 	}
-	return s.x.EvalCond(in, e)
+	return s.x.EvalCondCompiled(in, e)
 }
 
 // evalValue evaluates an activation switch tag/case value.
 func (s *Simulator) evalValue(in *model.Instance, e ast.Expr) (bitvec.Value, error) {
-	if s.mode.prebinds() {
-		return s.x.EvalValueCompiled(in, e)
+	if s.mode == Interpretive {
+		return s.x.EvalValue(in, e)
 	}
-	return s.x.EvalValue(in, e)
+	return s.x.EvalValueCompiled(in, e)
 }
 
 func (s *Simulator) resolveActTarget(in *model.Instance, name string) (*model.Instance, error) {
@@ -899,9 +915,3 @@ func (s *Simulator) LoadProgram(memName string, origin uint64, words []uint64) e
 
 // Pipes exposes the runtime pipelines (for tracing and tests).
 func (s *Simulator) Pipes() []*pipeline.Pipe { return s.pipes }
-
-// runPrebound executes the instance's pre-compiled behavior closure,
-// compiling it on first use (see internal/behavior compile support).
-func (s *Simulator) runPrebound(in *model.Instance) error {
-	return behavior.RunCompiled(s.x, in)
-}

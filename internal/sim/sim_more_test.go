@@ -30,7 +30,7 @@ OPERATION main {
 }
 `
 	m := buildModel(t, src)
-	for _, mode := range []Mode{Interpretive, CompiledPrebound} {
+	for _, mode := range []Mode{Interpretive, Compiled} {
 		s := New(m, mode)
 		if err := s.Reset(); err != nil {
 			t.Fatal(err)
@@ -133,7 +133,7 @@ OPERATION main {
 }
 `
 	m := buildModel(t, src)
-	for _, mode := range []Mode{Interpretive, CompiledPrebound} {
+	for _, mode := range []Mode{Interpretive, Compiled} {
 		s := New(m, mode)
 		var got []string
 		s.OnPrint = func(msg string) { got = append(got, msg) }
@@ -213,11 +213,32 @@ func TestAccessorErrors(t *testing.T) {
 func TestModeStrings(t *testing.T) {
 	if Interpretive.String() != "interpretive" ||
 		Compiled.String() != "compiled" ||
-		CompiledPrebound.String() != "compiled+prebound" {
+		Generated.String() != "generated" {
 		t.Error("mode strings")
 	}
 	if Mode(99).String() == "" {
 		t.Error("unknown mode string empty")
+	}
+}
+
+// TestParseModeRoundTrip pins the one mode vocabulary: every mode's
+// String parses back to it, the legacy names select the compiled engine,
+// and anything else is rejected with the canonical names listed.
+func TestParseModeRoundTrip(t *testing.T) {
+	for _, m := range []Mode{Interpretive, Compiled, Generated} {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, alias := range []string{"prebound", "compiled+prebound"} {
+		if got, err := ParseMode(alias); err != nil || got != Compiled {
+			t.Errorf("ParseMode(%q) = %v, %v; want compiled", alias, got, err)
+		}
+	}
+	for _, bad := range []string{"", "warp", "Compiled", Mode(1).String()} {
+		if _, err := ParseMode(bad); err == nil || !strings.Contains(err.Error(), ValidModes) {
+			t.Errorf("ParseMode(%q) err = %v, want an error listing %q", bad, err, ValidModes)
+		}
 	}
 }
 

@@ -135,8 +135,9 @@ func reg(t *testing.T, s *Simulator, i uint64) int64 {
 }
 
 func TestStraightLineExecution(t *testing.T) {
-	for _, mode := range []Mode{Interpretive, Compiled, CompiledPrebound} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, name := range []string{"interpretive", "compiled", "compiled+prebound"} {
+		mode, _ := ParseMode(name)
+		t.Run(name, func(t *testing.T) {
 			s := newSim(t, mode, []uint64{
 				tADDI(1, 5),
 				tADDI(2, 7),
@@ -333,18 +334,17 @@ func TestModesProduceIdenticalState(t *testing.T) {
 	if _, err := ref.Run(200); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []Mode{Compiled, CompiledPrebound} {
-		s := newSim(t, mode, prog)
-		if _, err := s.Run(200); err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		// Compare all architectural state cycle-for-cycle at the end.
-		if eq, diff := ref.S.Equal(s.S); !eq {
-			t.Errorf("%v differs from interpretive at %s", mode, diff)
-		}
-		if ref.Step() != s.Step() {
-			t.Errorf("%v step count %d != interpretive %d", mode, s.Step(), ref.Step())
-		}
+	mode := Compiled
+	s := newSim(t, mode, prog)
+	if _, err := s.Run(200); err != nil {
+		t.Fatalf("%v: %v", mode, err)
+	}
+	// Compare all architectural state cycle-for-cycle at the end.
+	if eq, diff := ref.S.Equal(s.S); !eq {
+		t.Errorf("%v differs from interpretive at %s", mode, diff)
+	}
+	if ref.Step() != s.Step() {
+		t.Errorf("%v step count %d != interpretive %d", mode, s.Step(), ref.Step())
 	}
 }
 
@@ -353,6 +353,8 @@ func TestDecodeCacheHitsInCompiledMode(t *testing.T) {
 	// distinct word once.
 	prog := []uint64{tADDI(1, 1), tBR(0), tNOP}
 	s := newSim(t, Compiled, prog)
+	r := newRecorder()
+	s.SetObserver(r)
 	for i := 0; i < 30; i++ {
 		if err := s.RunStep(); err != nil {
 			t.Fatal(err)
@@ -365,6 +367,13 @@ func TestDecodeCacheHitsInCompiledMode(t *testing.T) {
 	if p.DecodeHits < 20 {
 		t.Errorf("decode hits = %d, want >= 20", p.DecodeHits)
 	}
+	if p.Compiles == 0 {
+		t.Error("compiled mode compiled no behavior closures")
+	}
+	// Only the AST walker reports statement counts.
+	if len(r.behaviors) != 0 {
+		t.Errorf("compiled mode walked behavior ASTs: statement counts %v", r.behaviors)
+	}
 
 	i := newSim(t, Interpretive, prog)
 	for j := 0; j < 30; j++ {
@@ -375,6 +384,9 @@ func TestDecodeCacheHitsInCompiledMode(t *testing.T) {
 	ip := i.Profile()
 	if ip.DecodeHits != 0 {
 		t.Errorf("interpretive mode should never hit a decode cache")
+	}
+	if ip.Compiles != 0 {
+		t.Errorf("interpretive mode compiled %d closures, want 0", ip.Compiles)
 	}
 	if ip.Decodes != 30 {
 		t.Errorf("interpretive decodes = %d, want 30 (one per fetch)", ip.Decodes)

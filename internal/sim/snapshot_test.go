@@ -184,8 +184,9 @@ func TestSnapshotRoundTripMatchesUninterruptedRun(t *testing.T) {
 	for _, c := range snapCases() {
 		c := c
 		t.Run(c.model, func(t *testing.T) {
-			for _, mode := range []sim.Mode{sim.Interpretive, sim.Compiled, sim.CompiledPrebound} {
-				t.Run(mode.String(), func(t *testing.T) {
+			for _, name := range []string{"interpretive", "compiled", "compiled+prebound"} {
+				mode, _ := sim.ParseMode(name)
+				t.Run(name, func(t *testing.T) {
 					// Reference: uninterrupted run, with per-cycle hashes.
 					ref := newSnapSim(t, c, mode)
 					var hashes []uint64

@@ -262,25 +262,41 @@ func (m *Metrics) sortedOps() []*OpMetrics {
 	return ops
 }
 
-// promEscape escapes a label value per the Prometheus text exposition
+// PromEscape escapes a label value per the Prometheus text exposition
 // format: backslash, double quote and newline. (fmt's %q escapes more —
 // tabs, non-ASCII — in ways the exposition format does not define.)
-func promEscape(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(s)
+func PromEscape(s string) string { return promEscaper.Replace(s) }
+
+var promEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// PromWriter writes Prometheus text exposition, latching the first write
+// error so a writer checks once, at the end.
+type PromWriter struct{ errWriter }
+
+// NewPromWriter returns a PromWriter over w.
+func NewPromWriter(w io.Writer) *PromWriter { return &PromWriter{errWriter{w: w}} }
+
+// Printf writes formatted exposition text.
+func (p *PromWriter) Printf(format string, args ...any) {
+	fmt.Fprintf(&p.errWriter, format, args...)
 }
+
+// Head writes a metric family's HELP and TYPE lines.
+func (p *PromWriter) Head(name, help, typ string) {
+	p.Printf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// Err returns the first write error.
+func (p *PromWriter) Err() error { return p.err }
 
 // WriteText emits the snapshot in Prometheus exposition format: a
 // `# HELP` and `# TYPE` header per metric followed by its
 // `name{labels} value` samples.
 func (m *Metrics) WriteText(w io.Writer) error {
-	ew := &errWriter{w: w}
-	p := func(format string, args ...any) { fmt.Fprintf(ew, format, args...) }
-	head := func(name, help string) {
-		p("# HELP %s %s\n", name, help)
-		p("# TYPE %s counter\n", name)
-	}
-	lbl := fmt.Sprintf(`{model="%s"}`, promEscape(m.Model))
+	pw := NewPromWriter(w)
+	p := pw.Printf
+	head := func(name, help string) { pw.Head(name, help, "counter") }
+	lbl := fmt.Sprintf(`{model="%s"}`, PromEscape(m.Model))
 	for _, c := range []struct {
 		name, help string
 		value      uint64
@@ -306,7 +322,7 @@ func (m *Metrics) WriteText(w io.Writer) error {
 	} {
 		head(c.name, c.help)
 		for _, pm := range m.Pipes {
-			p("%s{pipe=\"%s\"} %d\n", c.name, promEscape(pm.Name), c.get(pm))
+			p("%s{pipe=\"%s\"} %d\n", c.name, PromEscape(pm.Name), c.get(pm))
 		}
 	}
 
@@ -324,7 +340,7 @@ func (m *Metrics) WriteText(w io.Writer) error {
 		head(counter.name, counter.help)
 		for _, pm := range m.Pipes {
 			for _, s := range pm.Stages {
-				p("%s{pipe=\"%s\",stage=\"%s\"} %d\n", counter.name, promEscape(s.Pipe), promEscape(s.Stage), counter.get(s))
+				p("%s{pipe=\"%s\",stage=\"%s\"} %d\n", counter.name, PromEscape(s.Pipe), PromEscape(s.Stage), counter.get(s))
 				if counter.name != "lisa_stage_stall_cycles_total" || len(s.StallCauseCycles) == 0 {
 					continue
 				}
@@ -337,7 +353,7 @@ func (m *Metrics) WriteText(w io.Writer) error {
 				sort.Strings(causes)
 				for _, c := range causes {
 					p("%s{pipe=\"%s\",stage=\"%s\",cause=\"%s\"} %d\n",
-						counter.name, promEscape(s.Pipe), promEscape(s.Stage), promEscape(c), s.StallCauseCycles[c])
+						counter.name, PromEscape(s.Pipe), PromEscape(s.Stage), PromEscape(c), s.StallCauseCycles[c])
 				}
 			}
 		}
@@ -346,17 +362,17 @@ func (m *Metrics) WriteText(w io.Writer) error {
 	ops := m.sortedOps()
 	head("lisa_op_execs_total", "Executions per operation.")
 	for _, o := range ops {
-		p("lisa_op_execs_total{op=\"%s\"} %d\n", promEscape(o.Name), o.Execs)
+		p("lisa_op_execs_total{op=\"%s\"} %d\n", PromEscape(o.Name), o.Execs)
 	}
 	head("lisa_op_statements_total", "Behavior statements run per operation.")
 	for _, o := range ops {
 		if o.Statements > 0 {
-			p("lisa_op_statements_total{op=\"%s\"} %d\n", promEscape(o.Name), o.Statements)
+			p("lisa_op_statements_total{op=\"%s\"} %d\n", PromEscape(o.Name), o.Statements)
 		}
 	}
 	head("lisa_op_active_steps_total", "Control steps each operation was active in.")
 	for _, o := range ops {
-		p("lisa_op_active_steps_total{op=\"%s\"} %d\n", promEscape(o.Name), o.ActiveSteps)
+		p("lisa_op_active_steps_total{op=\"%s\"} %d\n", PromEscape(o.Name), o.ActiveSteps)
 	}
 	head("lisa_op_stage_cycles_total", "Per-stage cycle attribution of each operation.")
 	for _, o := range ops {
@@ -366,10 +382,10 @@ func (m *Metrics) WriteText(w io.Writer) error {
 		}
 		sort.Strings(tracks)
 		for _, t := range tracks {
-			p("lisa_op_stage_cycles_total{op=\"%s\",stage=\"%s\"} %d\n", promEscape(o.Name), promEscape(t), o.StageCycles[t])
+			p("lisa_op_stage_cycles_total{op=\"%s\",stage=\"%s\"} %d\n", PromEscape(o.Name), PromEscape(t), o.StageCycles[t])
 		}
 	}
-	return ew.err
+	return pw.Err()
 }
 
 // WriteJSON emits the snapshot as machine-readable JSON.

@@ -53,7 +53,7 @@ type Observer interface {
 	// packet is the id of the carrying pipeline packet, 0 when none.
 	OnExec(op string, pipe, stage int, packet uint64)
 	// OnBehavior reports the number of behavior statements an operation's
-	// BEHAVIOR section executed (interpreted engines only; inclusive of
+	// BEHAVIOR section executed (interpretive mode only; inclusive of
 	// directly called operations).
 	OnBehavior(op string, statements uint64)
 	// OnStall reports a stage (or whole-pipe, stage -1) stall request.

@@ -47,14 +47,15 @@ type Mode = sim.Mode
 
 // Simulation modes.
 const (
-	// Interpretive re-decodes the instruction word on every execution.
+	// Interpretive re-decodes the instruction word and walks the behavior
+	// AST on every execution.
 	Interpretive = sim.Interpretive
-	// Compiled decodes each distinct instruction word once and reuses the
-	// bound instance (the paper's compiled-simulation principle).
+	// Compiled decodes each distinct instruction word once and runs the
+	// bound instance's behavior as pre-compiled closures with operands and
+	// fields resolved (the paper's compiled-simulation principle).
 	Compiled = sim.Compiled
-	// CompiledPrebound additionally pre-compiles operation behavior into
-	// closures with operands and fields resolved.
-	CompiledPrebound = sim.CompiledPrebound
+	// Deprecated: CompiledPrebound is the former name of Compiled.
+	CompiledPrebound = sim.Compiled
 )
 
 // LoadMachine parses and analyzes LISA source text.
