@@ -36,6 +36,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -220,13 +221,14 @@ func runGenerated(tr *otrace.Trace, m *core.Machine, common *cli.Common, src, du
 		fmt.Fprintf(os.Stderr, "%s: %v; falling back to the compiled engine\n", cli.Tool, err)
 		return false
 	}
-	eng := gosim.NewEngine(p, gosim.NewCache(common.GenCache), gosim.Options{
+	cache := gosim.NewCache(common.GenCache)
+	eng := gosim.NewEngine(p, cache, gosim.Options{
 		OnPrint: func(msg string) { fmt.Println(msg) },
 	})
 	runSpan := tr.Start(nil, "run")
 	res, err := eng.Run(common.Max)
 	runSpan.End()
-	cli.Fail(err)
+	cli.Fail(errors.Join(err, cache.Close()))
 	fmt.Printf("; %d words loaded at %#x\n", len(prog.Words), prog.Origin)
 	fmt.Printf("; %d control steps (generated mode), halted=%v; trace %s\n", res.Steps, res.Halted, tr.ID())
 	if res.Native {

@@ -121,8 +121,8 @@ func (b *Batch) Run(tr *otrace.Trace, mc *core.Machine, mode sim.Mode, max uint6
 		fmt.Printf("; artifact: %d prewarm decodes, %d compiles, %d cached words; jobs re-did %d decodes, %d compiles\n",
 			sum.PrewarmDecodes, sum.ArtifactCompiles, sum.CachedWords, sum.JobDecodes, sum.JobCompiles)
 		if sum.GenNative > 0 || sum.GenFallback > 0 {
-			fmt.Printf("; generated tier: %d native runs, %d IR fallbacks, %d runner builds\n",
-				sum.GenNative, sum.GenFallback, sum.RunnerBuilds)
+			fmt.Printf("; generated tier: %d native runs, %d IR fallbacks, %d runner builds, %d runner starts\n",
+				sum.GenNative, sum.GenFallback, sum.RunnerBuilds, sum.RunnerStarts)
 		}
 		for _, r := range sum.Results {
 			status := "ok"

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,6 +29,15 @@ loop:   SUB A1, A1, B1
         HALT
 `
 
+// spin loops until something outside the program raises halt.
+const spin = `
+start:  LDI B1, 1
+loop:   BNZ B1, loop
+        NOP
+        NOP
+        HALT
+`
+
 // harness runs a paused simple16 simulation under a live introspection
 // server, exercising it the way lisa-sim -http does.
 type harness struct {
@@ -37,11 +47,19 @@ type harness struct {
 
 func newHarness(t *testing.T) *harness {
 	t.Helper()
+	return newHarnessFor(t, countdown, 50_000, nil)
+}
+
+// newHarnessFor runs src for at most maxSteps steps. A non-nil hook is
+// called on the simulation goroutine at every step boundary, ahead of the
+// server's run control, so it may touch the simulator without racing it.
+func newHarnessFor(t *testing.T, src string, maxSteps uint64, hook func(*sim.Simulator)) *harness {
+	t.Helper()
 	m, err := core.LoadBuiltin("simple16")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, prog, err := m.AssembleAndLoad(countdown, sim.Compiled)
+	s, prog, err := m.AssembleAndLoad(src, sim.Compiled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +77,18 @@ func newHarness(t *testing.T) *harness {
 		Metrics: metrics, Flight: flight, Profiler: prof, StartPaused: true,
 	})
 	s.SetObserver(trace.Fanout(metrics, flight, prof, srv.Attach()))
+	if hook != nil {
+		gate := s.Gate
+		s.Gate = func(step uint64) {
+			hook(s)
+			gate(step)
+		}
+	}
 
 	h := &harness{ts: httptest.NewServer(srv.Handler()), done: make(chan error, 1)}
 	t.Cleanup(h.ts.Close)
 	go func() {
-		_, err := s.Run(50_000)
+		_, err := s.Run(maxSteps)
 		srv.Finish()
 		h.done <- err
 	}()
@@ -227,21 +252,44 @@ func TestLiveIntrospection(t *testing.T) {
 	}
 }
 
-// TestPauseRunning pauses a free-running simulation mid-flight.
+// TestPauseRunning pauses a free-running simulation mid-flight. The
+// program never halts by itself, so the pause always lands before the end;
+// once resumed, the test raises halt from the step hook to end the run.
 func TestPauseRunning(t *testing.T) {
-	h := newHarness(t)
+	var stop atomic.Bool
+	h := newHarnessFor(t, spin, 1<<62, func(s *sim.Simulator) {
+		if stop.Load() {
+			if err := s.SetScalar("halt", 1); err != nil {
+				panic(err)
+			}
+		}
+	})
+	t.Cleanup(func() { stop.Store(true) })
+
 	h.get(t, "/resume") // release the start pause; the sim free-runs
 	h.get(t, "/pause")
 	snap := h.waitState(t, "pause", func(s debug.StateSnapshot) bool { return s.Paused || s.Done })
 	if snap.Done {
-		t.Skip("simulation finished before the pause landed")
+		t.Fatalf("simulation finished before the pause landed: %+v", snap)
 	}
 	if snap.StopCause != "pause" {
 		t.Errorf("stop cause = %q, want pause", snap.StopCause)
 	}
+	if snap.Step == 0 {
+		t.Errorf("paused at step 0; the simulation never ran")
+	}
+	stop.Store(true)
 	h.get(t, "/resume")
-	if err := <-h.done; err != nil {
-		t.Fatal(err)
+	select {
+	case err := <-h.done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("simulation did not finish after halt was raised")
+	}
+	if snap = h.state(t); !snap.Done || !snap.Halted {
+		t.Fatalf("expected done+halted final state, got %+v", snap)
 	}
 }
 

@@ -157,9 +157,12 @@ type Summary struct {
 	// Generated-tier accounting: RunnerBuilds counts the `go build`
 	// invocations this batch performed for runner binaries — at most one
 	// per distinct (model, program) pair, zero when every runner was
-	// already cached. GenNative and GenFallback count generated-mode jobs
-	// by how they executed.
+	// already cached. RunnerStarts counts the resident runner processes
+	// the batch started: workers reuse an idle runner of the same program,
+	// so it grows with concurrency, not with the job count. GenNative and
+	// GenFallback count generated-mode jobs by how they executed.
 	RunnerBuilds uint64 `json:"runner_builds,omitempty"`
+	RunnerStarts uint64 `json:"runner_starts,omitempty"`
 	GenNative    int    `json:"gen_native,omitempty"`
 	GenFallback  int    `json:"gen_fallback,omitempty"`
 
@@ -298,6 +301,7 @@ func Run(mc *core.Machine, mode sim.Mode, jobs []Job, opt Options) (*Summary, er
 	var genCache *gosim.Cache
 	if mode == sim.Generated && !opt.Analyze && !opt.Cover && opt.Chrome == nil {
 		genCache = gosim.NewCache(opt.GenCache)
+		defer genCache.Close()
 		genProgs = make(map[string]*gosim.Program, len(progs))
 		genSpan := tr.Start(batchSpan, "gosim-compile")
 		for src, prog := range progs {
@@ -462,6 +466,7 @@ func Run(mc *core.Machine, mode sim.Mode, jobs []Job, opt Options) (*Summary, er
 	}
 	if genCache != nil {
 		sum.RunnerBuilds = genCache.Builds()
+		sum.RunnerStarts = genCache.Starts()
 	}
 	sum.Latency = Latency{
 		P50: time.Duration(hist.Quantile(0.50)),

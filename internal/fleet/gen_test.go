@@ -121,3 +121,34 @@ func TestFleetGeneratedMatchesClassic(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetGeneratedResidentRunners runs 3 programs × 8 jobs on 2 workers:
+// each program is built once, and its runner is started only as often as
+// two workers can run it at once — never once per job. When the batch
+// returns, every runner has been waited for.
+func TestFleetGeneratedResidentRunners(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	mc, _ := loadFIR(t)
+	const distinct, perProgram, workers = 3, 8, 2
+	var jobs []Job
+	for i := 0; i < distinct*perProgram; i++ {
+		jobs = append(jobs, Job{Name: fmt.Sprintf("job%d", i), Source: genProgram(i % distinct)})
+	}
+	sum, err := Run(mc, sim.Generated, jobs, Options{Workers: workers, GenCache: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertNoChildren(t)
+	if sum.Failed != 0 {
+		t.Fatalf("failed jobs: %+v", sum.Results)
+	}
+	if sum.GenNative != len(jobs) || sum.RunnerBuilds != distinct {
+		t.Errorf("GenNative = %d, RunnerBuilds = %d; want %d and %d", sum.GenNative, sum.RunnerBuilds, len(jobs), distinct)
+	}
+	if sum.RunnerStarts < distinct || sum.RunnerStarts > distinct*workers {
+		t.Errorf("RunnerStarts = %d, want %d..%d (one runner per program per concurrent worker)",
+			sum.RunnerStarts, distinct, distinct*workers)
+	}
+}

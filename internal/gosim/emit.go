@@ -13,8 +13,9 @@ import (
 // variables (s_<name> scalars, m_<name> memories), every distinct
 // instruction word becomes one function per activation target with the
 // coding tree resolved into a switch, and the ACTIVATION schedule becomes
-// a static step() function. The runner self-times its step loop and
-// reports everything over the NDJSON protocol (see gosim.go).
+// a static step() function. The runner stays resident, serving one run
+// per request line; it self-times its step loop and reports everything
+// over the NDJSON protocol (see protocol.go).
 //
 // The file header carries the address table: the paper's one-function-
 // per-address scheme, collapsed so addresses holding the same word share
@@ -97,7 +98,6 @@ func (g *gen) file() {
 	g.pf("import (")
 	g.pf("\t\"bufio\"")
 	g.pf("\t\"encoding/json\"")
-	g.pf("\t\"flag\"")
 	g.pf("\t\"fmt\"")
 	g.pf("\t\"os\"")
 	g.pf("\t\"strconv\"")
@@ -105,6 +105,7 @@ func (g *gen) file() {
 	g.pf(")")
 	g.pf("")
 	g.pf("const (")
+	g.pf("\trunnerVersion = %d", runnerVersion)
 	g.pf("\tmodelHash = %q", p.ModelHash)
 	g.pf("\tprogHash  = %q", p.ProgHash)
 	g.pf("\torigin    = %#x", p.Origin)
@@ -116,6 +117,7 @@ func (g *gen) file() {
 	g.runtimeHelpers()
 	g.memHelpers()
 	g.stateDump()
+	g.zeroFn()
 	g.resetFn()
 	g.handlerFns()
 	g.dispatchFn()
@@ -167,7 +169,9 @@ func (g *gen) state() {
 	g.pf("\tcycle  uint64")
 	g.pf("\trunErr string")
 	g.pf("\tprints []string")
+	g.pf("\tout    *bufio.Writer")
 	g.pf("\tenc    *json.Encoder")
+	g.pf("\twb     []byte")
 	g.pf(")")
 	if g.hasRing() {
 		g.pf("")
@@ -385,11 +389,38 @@ func (g *gen) memHelpers() {
 	}
 }
 
-// stateDump emits the slot-indexed state snapshots the protocol reports.
+// stateDump emits the slot-indexed state snapshot the protocol reports,
+// zero-suppressed (see protocol.go).
 func (g *gen) stateDump() {
 	p := g.p
 	g.pf("")
-	g.pf("func scalars() []uint64 {")
+	g.raw(`// appendZ appends a as a zero-suppressed array: its length, then runs
+// of nonzero words, each as offset, count and the words.
+func appendZ(b []byte, a []uint64) []byte {
+	b = append(b, '[')
+	b = strconv.AppendUint(b, uint64(len(a)), 10)
+	for i := 0; i < len(a); {
+		if a[i] == 0 {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(a) && a[j] != 0 {
+			j++
+		}
+		b = append(b, ',')
+		b = strconv.AppendUint(b, uint64(i), 10)
+		b = append(b, ',')
+		b = strconv.AppendUint(b, uint64(j-i), 10)
+		for ; i < j; i++ {
+			b = append(b, ',')
+			b = strconv.AppendUint(b, a[i], 10)
+		}
+	}
+	return append(b, ']')
+}`)
+	g.pf("")
+	g.pf("func appendState(b []byte) []byte {")
 	parts := make([]string, len(p.scalars))
 	for i, r := range p.scalars {
 		if r == nil {
@@ -398,19 +429,20 @@ func (g *gen) stateDump() {
 			parts[i] = "s_" + r.Name
 		}
 	}
-	g.pf("\treturn []uint64{%s}", strings.Join(parts, ", "))
-	g.pf("}")
-	g.pf("")
-	g.pf("func arrays() [][]uint64 {")
-	aparts := make([]string, len(p.arrays))
+	g.pf("\tb = append(b, `\"sc\":`...)")
+	g.pf("\tb = appendZ(b, []uint64{%s})", strings.Join(parts, ", "))
+	g.pf("\tb = append(b, `,\"arr\":[`...)")
 	for i, r := range p.arrays {
+		if i > 0 {
+			g.pf("\tb = append(b, ',')")
+		}
 		if r == nil {
-			aparts[i] = "nil"
+			g.pf("\tb = appendZ(b, nil)")
 		} else {
-			aparts[i] = "m_" + r.Name + "[:]"
+			g.pf("\tb = appendZ(b, m_%s[:])", r.Name)
 		}
 	}
-	g.pf("\treturn [][]uint64{%s}", strings.Join(aparts, ", "))
+	g.pf("\treturn append(b, ']')")
 	g.pf("}")
 	if len(p.latches) > 0 {
 		g.pf("")
@@ -430,6 +462,40 @@ func (g *gen) commitCall() string {
 		return "commit()"
 	}
 	return ""
+}
+
+// zeroFn emits the per-run clear of every piece of package-level state,
+// so a resident runner starts each run exactly as a fresh process would.
+func (g *gen) zeroFn() {
+	p := g.p
+	g.pf("")
+	g.pf("func zeroState() {")
+	for _, r := range p.scalars {
+		if r != nil {
+			g.pf("\ts_%s = 0", r.Name)
+		}
+	}
+	for _, r := range p.arrays {
+		if r != nil {
+			g.pf("\tm_%s = [%d]uint64{}", r.Name, r.Total())
+		}
+	}
+	for _, r := range p.latches {
+		g.pf("\tpv_%s, ps_%s = 0, false", r.Name, r.Name)
+	}
+	if p.nLoc > 0 {
+		g.pf("\tloc = [%d]uint64{}", p.nLoc)
+	}
+	g.pf("\tnow = now[:0]")
+	if g.hasRing() {
+		g.pf("\tfor i := range ring {")
+		g.pf("\t\tring[i] = ring[i][:0]")
+		g.pf("\t}")
+	}
+	g.pf("\tcycle = 0")
+	g.pf("\trunErr = \"\"")
+	g.pf("\tprints = prints[:0]")
+	g.pf("}")
 }
 
 // resetFn emits the reset behavior plus the program-image load.
@@ -559,37 +625,26 @@ func (g *gen) stepFn() {
 	g.pf("}")
 }
 
-// mainFn emits the protocol driver: flags, the self-timed run loop, and
-// the NDJSON result.
+// mainFn emits the runner's main loop: the header, then the request loop —
+// clear, reset, run the self-timed step loop, report — until stdin closes.
 func (g *gen) mainFn() {
 	p := g.p
 	g.pf("")
 	g.raw(`type hline struct {
 	T     string ` + "`json:\"t\"`" + `
+	V     int    ` + "`json:\"v\"`" + `
 	Model string ` + "`json:\"model\"`" + `
 	Prog  string ` + "`json:\"prog\"`" + `
 }
 
-type cline struct {
-	T   string     ` + "`json:\"t\"`" + `
-	N   uint64     ` + "`json:\"n\"`" + `
-	Sc  []uint64   ` + "`json:\"sc\"`" + `
-	Arr [][]uint64 ` + "`json:\"arr\"`" + `
+type request struct {
+	Max   uint64 ` + "`json:\"max\"`" + `
+	Trace bool   ` + "`json:\"trace\"`" + `
 }
 
 type pline struct {
 	T string ` + "`json:\"t\"`" + `
 	S string ` + "`json:\"s\"`" + `
-}
-
-type rline struct {
-	T      string            ` + "`json:\"t\"`" + `
-	Steps  uint64            ` + "`json:\"steps\"`" + `
-	Halted bool              ` + "`json:\"halted\"`" + `
-	WallNs int64             ` + "`json:\"wall_ns\"`" + `
-	Sc     []uint64          ` + "`json:\"sc\"`" + `
-	Arr    [][]uint64        ` + "`json:\"arr\"`" + `
-	Pen    map[string]uint64 ` + "`json:\"penalty\"`" + `
 }
 
 type eline struct {
@@ -599,18 +654,36 @@ type eline struct {
 }
 
 func emitCycle() {
-	_ = enc.Encode(cline{"c", cycle, scalars(), arrays()})
+	wb = append(wb[:0], ` + "`" + `{"t":"c","n":` + "`" + `...)
+	wb = strconv.AppendUint(wb, cycle, 10)
+	wb = append(wb, ',')
+	wb = appendState(wb)
+	wb = append(wb, "}\n"...)
+	_, _ = out.Write(wb)
+}
+
+func main() {
+	in := bufio.NewReader(os.Stdin)
+	out = bufio.NewWriterSize(os.Stdout, 64<<10)
+	enc = json.NewEncoder(out)
+	_ = enc.Encode(hline{"h", runnerVersion, modelHash, progHash})
+	for out.Flush() == nil {
+		line, err := in.ReadBytes('\n')
+		if err != nil {
+			return
+		}
+		var rq request
+		if err := json.Unmarshal(line, &rq); err != nil {
+			_ = enc.Encode(eline{"e", "bad request: " + err.Error(), 0})
+			continue
+		}
+		serve(rq.Max, rq.Trace)
+	}
 }`)
 	g.pf("")
-	g.pf("func main() {")
-	g.pf("\tmaxF := flag.Uint64(\"max\", 1000000, \"maximum control steps\")")
-	g.pf("\ttraceF := flag.Bool(\"trace\", false, \"emit per-cycle architectural state\")")
-	g.pf("\tflag.Parse()")
-	g.pf("\tout := bufio.NewWriter(os.Stdout)")
-	g.pf("\tenc = json.NewEncoder(out)")
-	g.pf("\t_ = enc.Encode(hline{\"h\", modelHash, progHash})")
+	g.pf("func serve(max uint64, tr bool) {")
+	g.pf("\tzeroState()")
 	g.pf("\tresetSim()")
-	g.pf("\tmax, tr := *maxF, *traceF")
 	g.pf("\tvar steps uint64")
 	g.pf("\tstart := time.Now()")
 	g.pf("\tfor steps < max {")
@@ -634,15 +707,23 @@ func emitCycle() {
 	g.pf("\t}")
 	g.pf("\tif runErr != \"\" {")
 	g.pf("\t\t_ = enc.Encode(eline{\"e\", runErr, steps})")
-	g.pf("\t\t_ = out.Flush()")
-	g.pf("\t\tos.Exit(1)")
+	g.pf("\t\treturn")
 	g.pf("\t}")
 	halted := "false"
 	if p.halt != nil {
 		halted = fmt.Sprintf("s_%s != 0", p.halt.Name)
 	}
-	g.pf("\t_ = enc.Encode(rline{\"r\", steps, %s, wall, scalars(), arrays(), map[string]uint64{}})", halted)
-	g.pf("\t_ = out.Flush()")
+	g.pf("\twb = append(wb[:0], `{\"t\":\"r\",\"steps\":`...)")
+	g.pf("\twb = strconv.AppendUint(wb, steps, 10)")
+	g.pf("\twb = append(wb, `,\"halted\":`...)")
+	g.pf("\twb = strconv.AppendBool(wb, %s)", halted)
+	g.pf("\twb = append(wb, `,\"wall_ns\":`...)")
+	g.pf("\twb = strconv.AppendInt(wb, wall, 10)")
+	g.pf("\twb = append(wb, ',')")
+	g.pf("\twb = appendState(wb)")
+	g.pf("\twb = append(wb, `,\"penalty\":{}}`...)")
+	g.pf("\twb = append(wb, '\\n')")
+	g.pf("\t_, _ = out.Write(wb)")
 	g.pf("}")
 }
 

@@ -3,9 +3,11 @@
 // source — one function per distinct instruction word, pipeline state
 // flattened into package-level variables, the coding tree resolved into a
 // switch at generation time — builds it with the host Go toolchain into a
-// standalone runner, and executes the runner as a subprocess speaking a
-// small NDJSON result protocol. This is the paper's compiled-simulation
-// principle taken to its conclusion: where sim's compiled mode
+// standalone runner, and keeps the runner resident as a subprocess that
+// serves one run after another over a small NDJSON protocol
+// (protocol.go): a batch pays the build once per program and the process
+// start once per concurrent worker. This is the paper's compiled-
+// simulation principle taken to its conclusion: where sim's compiled mode
 // pre-binds closures inside the generic scheduler, gosim emits straight-
 // line host code the Go compiler optimizes per (model, program) pair.
 //
@@ -21,12 +23,8 @@
 package gosim
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os/exec"
-	"strconv"
 	"time"
 )
 
@@ -39,13 +37,14 @@ var ErrUnsupported = errors.New("unsupported by the generated-code simulator")
 type Backend int
 
 const (
-	// Auto builds and runs a native runner when the Go toolchain is on
-	// PATH and the program is at least DefaultMinBuildWords long;
-	// otherwise it runs the in-process IR interpreter.
+	// Auto runs a native runner when the program is at least
+	// DefaultMinBuildWords long and its runner is cached or the Go
+	// toolchain is on PATH to build it; otherwise it runs the in-process
+	// IR interpreter.
 	Auto Backend = iota
 	// ForceIR always runs the in-process interpreter.
 	ForceIR
-	// ForceNative always builds and runs the subprocess runner, and
+	// ForceNative always runs the subprocess runner, and
 	// propagates build/exec failures instead of falling back.
 	ForceNative
 )
@@ -100,8 +99,8 @@ type Result struct {
 
 // Engine runs one compiled Program, choosing between the native runner
 // and the in-process interpreter per Options. Engines are cheap; the
-// expensive artifacts (the Program, the runner binary) are shared through
-// the Program itself and the Cache.
+// expensive artifacts (the Program, the runner binary and its resident
+// processes) are shared through the Program itself and the Cache.
 type Engine struct {
 	P     *Program
 	Cache *Cache
@@ -152,9 +151,6 @@ func (e *Engine) nativeObstacle() string {
 	if e.Opt.Backend == Auto && len(e.P.Words) < DefaultMinBuildWords {
 		return fmt.Sprintf("program has %d words, below the %d-word build threshold", len(e.P.Words), DefaultMinBuildWords)
 	}
-	if _, err := exec.LookPath("go"); err != nil {
-		return "go toolchain not found in PATH"
-	}
 	return ""
 }
 
@@ -186,110 +182,26 @@ func (e *Engine) runIR(max uint64) (*Result, error) {
 	return res, nil
 }
 
-// protocol line shapes (NDJSON, one object per line, discriminated by t):
-//
-//	{"t":"h","model":H,"prog":H}          header: runner identity
-//	{"t":"c","n":N,"sc":[..],"arr":[[..]]} trace: state after step N
-//	{"t":"p","s":"line"}                  one print() line
-//	{"t":"r","steps":N,"halted":B,"wall_ns":N,"sc":[..],"arr":[[..]],"penalty":{}}
-//	{"t":"e","msg":"...","steps":N}       runtime error after N steps
-type protoLine struct {
-	T      string            `json:"t"`
-	Model  string            `json:"model,omitempty"`
-	Prog   string            `json:"prog,omitempty"`
-	N      uint64            `json:"n,omitempty"`
-	S      string            `json:"s,omitempty"`
-	Steps  uint64            `json:"steps,omitempty"`
-	Halted bool              `json:"halted,omitempty"`
-	WallNs int64             `json:"wall_ns,omitempty"`
-	Sc     []uint64          `json:"sc,omitempty"`
-	Arr    [][]uint64        `json:"arr,omitempty"`
-	Pen    map[string]uint64 `json:"penalty,omitempty"`
-	Msg    string            `json:"msg,omitempty"`
-}
-
-// runNative builds (or reuses) the runner binary and executes it.
+// runNative checks a resident runner out of the cache, serves the run on
+// it and checks it back in. A runner that reported a runtime error, broke
+// the protocol or died is killed and dropped, never reused.
 func (e *Engine) runNative(max uint64) (*Result, error) {
-	bin, hit, err := e.Cache.Runner(e.P)
+	pr, hit, err := e.Cache.checkout(e.P)
 	if err != nil {
 		return nil, err
 	}
-	args := []string{"-max", strconv.FormatUint(max, 10)}
-	if e.Opt.OnCycleState != nil {
-		args = append(args, "-trace")
-	}
-	cmd := exec.Command(bin, args...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, fmt.Errorf("gosim: runner pipe: %w", err)
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("gosim: start runner: %w", err)
-	}
 	res := &Result{Native: true, CacheHit: hit}
-	var runErr error
-	simErr := false // runErr came from a runtime "e" line, not the protocol
-	sawResult := false
-	sc := bufio.NewScanner(stdout)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var ln protoLine
-		if err := json.Unmarshal(sc.Bytes(), &ln); err != nil {
-			runErr = fmt.Errorf("gosim: runner protocol: %w", err)
-			break
-		}
-		switch ln.T {
-		case "h":
-			if ln.Model != e.P.ModelHash || ln.Prog != e.P.ProgHash {
-				runErr = fmt.Errorf("gosim: runner identity mismatch: built for (%s,%s), want (%s,%s)",
-					ln.Model, ln.Prog, e.P.ModelHash, e.P.ProgHash)
-			}
-		case "c":
-			if e.Opt.OnCycleState != nil {
-				e.Opt.OnCycleState(ln.N, ln.Sc, ln.Arr)
-			}
-		case "p":
-			res.Prints = append(res.Prints, ln.S)
-			if e.Opt.OnPrint != nil {
-				e.Opt.OnPrint(ln.S)
-			}
-		case "r":
-			sawResult = true
-			res.Steps = ln.Steps
-			res.Halted = ln.Halted
-			res.RunNs = ln.WallNs
-			res.Scalars = ln.Sc
-			res.Arrays = ln.Arr
-			res.Penalty = ln.Pen
-		case "e":
-			res.Steps = ln.Steps
-			simErr = true
-			runErr = fmt.Errorf("gosim: runner: %s", ln.Msg)
-		}
-		if runErr != nil {
-			break
-		}
+	err = pr.run(max, e.Opt, res)
+	if err == nil {
+		e.Cache.checkin(pr)
+		return res, nil
 	}
-	if err := sc.Err(); err != nil && runErr == nil {
-		runErr = fmt.Errorf("gosim: read runner output: %w", err)
+	e.Cache.kill(pr)
+	var rt *runtimeError
+	if errors.As(err, &rt) {
+		// A runtime "e" line is a simulation error, not a native-path
+		// failure: the partial result travels with it, like the IR path.
+		return res, err
 	}
-	waitErr := cmd.Wait()
-	if runErr != nil {
-		if simErr {
-			// A runtime "e" line is a simulation error, not a native-path
-			// failure: the partial result travels with it, like the IR path.
-			return res, runErr
-		}
-		return nil, runErr
-	}
-	if !sawResult {
-		if waitErr != nil {
-			return nil, fmt.Errorf("gosim: runner exited without a result: %w", waitErr)
-		}
-		return nil, fmt.Errorf("gosim: runner exited without a result line")
-	}
-	return res, nil
+	return nil, err
 }

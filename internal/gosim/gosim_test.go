@@ -222,7 +222,7 @@ const opsProg = `
 // loadPair compiles src for the model (builtin name, or inline LISA when
 // lisaSrc is non-empty) into a gosim Program plus the pieces the tests
 // wire against.
-func loadPair(t *testing.T, name, lisaSrc, progSrc string) (*core.Machine, *asm.Program, *Program) {
+func loadPair(t testing.TB, name, lisaSrc, progSrc string) (*core.Machine, *asm.Program, *Program) {
 	t.Helper()
 	var mc *core.Machine
 	var err error
