@@ -155,6 +155,12 @@ func TestErrorExits(t *testing.T) {
 	if _, stderr, code := runTool(t, bad); code != 1 || stderr == "" {
 		t.Errorf("bad asm: exit %d stderr %q, want error exit 1", code, stderr)
 	}
+	// An image past the end of program memory: exit 1 with a diagnostic,
+	// not an attempt to emit 2^39 words.
+	huge := writeProg(t, "LDI B1, 1\n.space 0x7fffffffff\nHALT\n")
+	if _, stderr, code := runTool(t, huge); code != 1 || !strings.Contains(stderr, "past the end of program memory") {
+		t.Errorf("huge .space: exit %d stderr %q, want error exit 1", code, stderr)
+	}
 	// Unknown model: exit 1.
 	if _, _, code := runTool(t, "-model", "nosuch", writeProg(t, countdown)); code != 1 {
 		t.Errorf("bad model: exit %d, want 1", code)

@@ -315,11 +315,33 @@ func TestAssembleErrors(t *testing.T) {
 		{"ADDI 9, 1", "does not fit"},
 		{"ADDI 1, 300", "does not fit"},
 		{"FOO", "no instruction matches"},
+		// Without a program memory the image is bounded by
+		// model.MaxStateElems; these used to allocate the words.
+		{".space 0x7fffffffff\nHALT", "past the end of the memory limit"},
+		{".org 0x7fffffffff\nHALT", "past the end of the memory limit"},
+		{"NOP\n.space 0xffffffffffffffff", "past the end of the memory limit"},
 	}
 	for _, c := range cases {
 		_, err := a.Assemble(c.src)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Assemble(%q) err = %v, want %q", c.src, err, c.want)
+		}
+	}
+}
+
+// TestImageBoundedByProgramMemory pins that .org, .space and plain code
+// may fill the program memory up to its last word but not past it, so an
+// oversized directive is an assembly error instead of a huge image.
+func TestImageBoundedByProgramMemory(t *testing.T) {
+	a, _ := newTools(t, tinyASM+"RESOURCE { PROGRAM_MEMORY bit[16] pm[0x10..0x2f]; }")
+	for _, src := range []string{".org 0x10\n.space 0x1f\nHALT", ".org 0x30", ".org 0x2f\nHALT"} {
+		if _, err := a.Assemble(src); err != nil {
+			t.Errorf("Assemble(%q): %v", src, err)
+		}
+	}
+	for _, src := range []string{".org 0x31", ".org 0x10\n.space 0x21", ".org 0x2f\nHALT\nHALT", ".org 0x20\n.space 0x7fffffffff"} {
+		if _, err := a.Assemble(src); err == nil || !strings.Contains(err.Error(), "past the end of program memory pm at 0x30") {
+			t.Errorf("Assemble(%q) err = %v, want past the end of program memory", src, err)
 		}
 	}
 }

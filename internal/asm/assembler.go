@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"golisa/internal/ast"
 	"golisa/internal/coding"
 	"golisa/internal/model"
 )
@@ -27,6 +28,11 @@ type Assembler struct {
 	// coding root's group closure that carry syntax.
 	candidates []*model.Operation
 	enc        *coding.Encoder
+	// end is the first word address past the program memory (the first
+	// PROGRAM_MEMORY resource), which no image may reach beyond; endName
+	// names the bound in errors.
+	end     uint64
+	endName string
 }
 
 // NewAssembler builds an assembler from the model's coding root. When the
@@ -42,7 +48,14 @@ func NewAssembler(m *model.Model) (*Assembler, error) {
 	if root == nil {
 		return nil, fmt.Errorf("model %s has no coding root; cannot derive an instruction set", m.Name)
 	}
-	a := &Assembler{m: m, root: root, enc: coding.NewEncoder(m)}
+	a := &Assembler{m: m, root: root, enc: coding.NewEncoder(m),
+		end: model.MaxStateElems, endName: "the memory limit of a model"}
+	for _, r := range m.Resources {
+		if r.Class == ast.ClassProgramMemory && r.IsMemory() {
+			a.end, a.endName = r.Base+r.Size, "program memory "+r.Name
+			break
+		}
+	}
 	names := make([]string, 0, len(root.Groups))
 	for name := range root.Groups {
 		names = append(names, name)
@@ -146,6 +159,9 @@ func (a *Assembler) Assemble(src string) (*Program, error) {
 			return nil, err
 		}
 		if newAddr != nil {
+			if *newAddr > a.end {
+				return nil, fmt.Errorf("line %d: address %#x is past the end of %s at %#x", s.lineNo, *newAddr, a.endName, a.end)
+			}
 			if !originSet && n == 0 {
 				origin = *newAddr
 				originSet = true
@@ -156,6 +172,9 @@ func (a *Assembler) Assemble(src string) (*Program, error) {
 		if !originSet {
 			origin = addr
 			originSet = true
+		}
+		if n > a.end-addr {
+			return nil, fmt.Errorf("line %d: %d words at %#x run past the end of %s at %#x", s.lineNo, n, addr, a.endName, a.end)
 		}
 		addr += n
 	}

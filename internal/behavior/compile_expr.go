@@ -380,9 +380,7 @@ func (c *compiler) compileCall(call *ast.CallExpr) (cexpr, error) {
 	if strings.Contains(call.Name, ".") {
 		return c.compilePipeCall(call)
 	}
-	switch call.Name {
-	case "abs", "min", "max", "saturate", "sign_extend", "zero_extend",
-		"addsat", "subsat", "bits", "print", "wait_states":
+	if IsBuiltin(call.Name) {
 		return c.compileBuiltin(call)
 	}
 	if child, ok := c.in.Bindings[call.Name]; ok {
@@ -401,209 +399,61 @@ func (c *compiler) compileCall(call *ast.CallExpr) (cexpr, error) {
 }
 
 func (c *compiler) compilePipeCall(call *ast.CallExpr) (cexpr, error) {
-	parts := strings.Split(call.Name, ".")
-	p := c.x.M.Pipeline(parts[0])
-	if p == nil {
-		return nil, fmt.Errorf("%s: unknown pipeline %s", call.Pos, parts[0])
+	p, stage, op, err := resolvePipeCall(c.x.M, call)
+	if err != nil {
+		return nil, err
 	}
-	stage := -1
-	op := parts[len(parts)-1]
-	if len(parts) == 3 {
-		stage = p.StageIndex(parts[1])
-		if stage < 0 {
-			return nil, fmt.Errorf("%s: unknown stage %s.%s", call.Pos, parts[0], parts[1])
-		}
-	} else if len(parts) != 2 {
-		return nil, fmt.Errorf("%s: malformed pipeline call %s", call.Pos, call.Name)
-	}
-	switch op {
-	case "shift", "stall", "flush":
-	default:
-		return nil, fmt.Errorf("%s: unknown pipeline operation %s", call.Pos, op)
-	}
-	pd, st, o := p, stage, op
 	return func(cs *cstate) (val, error) {
 		if cs.x.Ctx == nil {
 			return val{}, fmt.Errorf("pipeline operation %s outside simulation context", call.Name)
 		}
-		return val{}, cs.x.Ctx.PipeOp(pd, st, o)
+		return val{}, cs.x.Ctx.PipeOp(p, stage, op)
 	}, nil
 }
 
 func (c *compiler) compileBuiltin(call *ast.CallExpr) (cexpr, error) {
-	name := call.Name
-	need := func(n int) error {
-		if len(call.Args) != n {
-			return fmt.Errorf("%s: %s expects %d arguments, got %d", call.Pos, name, n, len(call.Args))
-		}
-		return nil
+	b, err := lookupBuiltin(call)
+	if err != nil {
+		return nil, err
 	}
-	if name == "wait_states" {
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		id, ok := call.Args[0].(*ast.Ident)
-		if !ok {
-			return nil, fmt.Errorf("%s: wait_states expects a resource name", call.Pos)
-		}
-		r := c.x.M.Resource(id.Name)
-		if r == nil {
-			return nil, fmt.Errorf("%s: unknown resource %s", call.Pos, id.Name)
-		}
-		return constExpr(val{bitvec.New(uint64(r.Wait), 32), false}), nil
-	}
-	// print keeps string literals positionally.
-	args := make([]cexpr, len(call.Args))
-	strs := make([]string, len(call.Args))
-	isStr := make([]bool, len(call.Args))
-	for i, a := range call.Args {
-		if s, ok := a.(*ast.StrLit); ok && name == "print" {
-			strs[i], isStr[i] = s.Val, true
-			continue
-		}
-		ce, err := c.compileExpr(a)
+	if call.Name == "wait_states" {
+		v, err := waitStates(c.x.M, call)
 		if err != nil {
 			return nil, err
 		}
-		args[i] = ce
+		return constExpr(v), nil
 	}
-	evalArgs := func(cs *cstate) ([]val, error) {
-		out := make([]val, len(args))
-		for i, a := range args {
-			if a == nil {
-				continue
-			}
-			v, err := a(cs)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
+	args := make([]cexpr, len(call.Args))
+	for i, a := range call.Args {
+		if _, isStr := a.(*ast.StrLit); isStr && call.Name == "print" {
+			continue // print keeps string literals positionally
 		}
-		return out, nil
+		if args[i], err = c.compileExpr(a); err != nil {
+			return nil, err
+		}
 	}
-	switch name {
-	case "print":
+	if call.Name == "print" {
 		return func(cs *cstate) (val, error) {
-			argv, err := evalArgs(cs)
+			line, err := formatPrint(call.Args, func(i int) (val, error) { return args[i](cs) })
 			if err != nil {
 				return val{}, err
 			}
 			if cs.x.Ctx != nil {
-				parts := make([]string, len(argv))
-				for i := range argv {
-					if isStr[i] {
-						parts[i] = strs[i]
-					} else if argv[i].signed {
-						parts[i] = fmt.Sprintf("%d", argv[i].v.Int())
-					} else {
-						parts[i] = fmt.Sprintf("%d", argv[i].v.Uint())
-					}
-				}
-				cs.x.Ctx.Print(strings.Join(parts, " "))
+				cs.x.Ctx.Print(line)
 			}
 			return val{}, nil
 		}, nil
-	case "abs":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return func(cs *cstate) (val, error) {
-			argv, err := evalArgs(cs)
-			if err != nil {
-				return val{}, err
-			}
-			return val{bitvec.Abs(argv[0].v), true}, nil
-		}, nil
-	case "min", "max":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		wantMax := name == "max"
-		return func(cs *cstate) (val, error) {
-			argv, err := evalArgs(cs)
-			if err != nil {
-				return val{}, err
-			}
-			a, b := argv[0], argv[1]
-			cmp := bitvec.CmpS(a.v, b.v)
-			if !a.signed && !b.signed {
-				cmp = bitvec.CmpU(a.v, b.v)
-			}
-			pickA := cmp <= 0
-			if wantMax {
-				pickA = cmp >= 0
-			}
-			if pickA {
-				return a, nil
-			}
-			return b, nil
-		}, nil
-	case "saturate":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return func(cs *cstate) (val, error) {
-			argv, err := evalArgs(cs)
-			if err != nil {
-				return val{}, err
-			}
-			return val{bitvec.SatS(argv[0].v, int(argv[1].v.Int())), true}, nil
-		}, nil
-	case "sign_extend":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return func(cs *cstate) (val, error) {
-			argv, err := evalArgs(cs)
-			if err != nil {
-				return val{}, err
-			}
-			return val{bitvec.SignExtend(argv[0].v.Resize(64), int(argv[1].v.Int())), true}, nil
-		}, nil
-	case "zero_extend":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return func(cs *cstate) (val, error) {
-			argv, err := evalArgs(cs)
-			if err != nil {
-				return val{}, err
-			}
-			return val{bitvec.ZeroExtend(argv[0].v.Resize(64), int(argv[1].v.Int())), false}, nil
-		}, nil
-	case "addsat":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return func(cs *cstate) (val, error) {
-			argv, err := evalArgs(cs)
-			if err != nil {
-				return val{}, err
-			}
-			return val{bitvec.AddSat(argv[0].v, argv[1].v), true}, nil
-		}, nil
-	case "subsat":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return func(cs *cstate) (val, error) {
-			argv, err := evalArgs(cs)
-			if err != nil {
-				return val{}, err
-			}
-			return val{bitvec.SubSat(argv[0].v, argv[1].v), true}, nil
-		}, nil
-	case "bits":
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		return func(cs *cstate) (val, error) {
-			argv, err := evalArgs(cs)
-			if err != nil {
-				return val{}, err
-			}
-			return val{argv[0].v.Slice(int(argv[1].v.Int()), int(argv[2].v.Int())), false}, nil
-		}, nil
 	}
-	return nil, fmt.Errorf("%s: unknown builtin %s", call.Pos, name)
+	fn := b.fn
+	return func(cs *cstate) (val, error) {
+		var argv [maxBuiltinArgs]val
+		for i, a := range args {
+			v, err := a(cs)
+			if err != nil {
+				return val{}, err
+			}
+			argv[i] = v
+		}
+		return fn(argv[0], argv[1], argv[2]), nil
+	}, nil
 }

@@ -258,61 +258,65 @@ func TestCompiledBudgetIsPerRun(t *testing.T) {
 	}
 }
 
-// TestCompiledMatchesInterpreterSignedness is the adversarial regression
-// table from the sub-64-bit sign-extension/truncation audit. The two
-// engines share binop/unop (expr.go) but duplicate the builtin
-// implementations, so every case here leans on the places a future edit
-// could split them: mixed signed/unsigned comparisons with the top bit
-// set, shift counts at and beyond the operand width (and the &63 count
-// mask), arithmetic right-shift sign fill, assignment truncation into
-// narrow registers, signed division/remainder edges (MinInt/-1, /0),
-// saturation and extension builtins at their boundary widths, and
-// read-modify-write slice lvalues on sub-word registers.
+// signednessBodies is the adversarial regression table from the
+// sub-64-bit sign-extension/truncation audit. Every case leans on a place
+// where an engine could split from the others: mixed signed/unsigned
+// comparisons with the top bit set, shift counts at and beyond the
+// operand width (and the &63 count mask), arithmetic right-shift sign
+// fill, assignment truncation into narrow registers, signed
+// division/remainder edges (MinInt/-1, /0), saturation and extension
+// builtins at their boundary widths, and read-modify-write slice lvalues
+// on sub-word registers. The bodies read and write only the resources of
+// compileRegs. TestSignednessBodiesOnGosim runs them through gosim's IR
+// and native runner as well.
+var signednessBodies = []string{
+	// Mixed signed/unsigned comparison, top bit set: bit[8] 0xff is
+	// 255, int -1 sign-extends; they must never compare equal.
+	`small = 0xff; r0 = 0 - 1; r1 = small > r0; r2 = r0 < small; r3 = small == r0;`,
+	// Unsigned/unsigned comparison stays unsigned even at top-bit.
+	`unsigned a = 0x80000000; unsigned b = 1; r0 = a > b; r1 = a < b; r2 = min(a, b); r3 = max(a, b);`,
+	// Shift counts at and beyond the operand width; the dialect masks
+	// the count with &63, so x << 64 is x << 0.
+	`small = 0x80; r0 = small >> 9; r1 = small << 8; r2 = small >> 7;`,
+	`r0 = 1; r1 = r0 << 64; r2 = r0 >> 64; r3 = r0 << 63;`,
+	// Arithmetic right shift must sign-fill, including full-width counts.
+	`r0 = 0 - 8; r1 = r0 >> 1; r2 = r0 >> 63; r3 = r0 >> 31;`,
+	// Assignment truncation: wide values chopped into narrow registers,
+	// then read back with the register's own signedness.
+	`r0 = 0x12345; small = r0; r1 = small; wide = 0xffffffffff; r2 = wide; r3 = wide >> 32;`,
+	// Signed division/remainder edges: MinInt/-1 and divide-by-zero in
+	// both signedness worlds.
+	`r0 = 1 << 31; r1 = 0 - 1; r2 = r0 / r1; r3 = r0 % r1;`,
+	`r0 = 5 / 0; r1 = (0 - 5) / 0; r2 = 5 % 0; r3 = (0 - 5) % 0;`,
+	`unsigned u = 7; unsigned z = 0; r0 = u / z; r1 = u % z;`,
+	// Saturation and extension builtins at boundary widths.
+	`r0 = saturate(0 - 300, 8); r1 = saturate(127, 8); r2 = saturate(128, 8); r3 = saturate(0 - 128, 8);`,
+	`r0 = sign_extend(0xff, 8); r1 = sign_extend(0x7f, 8); r2 = zero_extend(0xffffffff, 16); r3 = sign_extend(0x8000, 16);`,
+	`small = 200; r0 = addsat(small, small); r1 = subsat(small, 0xff); wide = 0x7fffffffff; r2 = addsat(wide, 1);`,
+	// min/max compare the raw operand widths: bit[8] 0x80 against a
+	// negative int exercises the signed-compare path without widening.
+	`small = 0x80; r0 = 0 - 1; r1 = min(small, r0); r2 = max(small, r0); r3 = min(small, small);`,
+	// Unary negate/complement inside a narrow register wrap at its width.
+	`small = 1; small = 0 - small; r0 = small; small = ~small; r1 = small;`,
+	// Compound shifts truncate at the register width on every step.
+	`small = 0xf0; small <<= 4; r0 = small; small = 0x80; small >>= 1; r1 = small;`,
+	// Slice lvalue read-modify-write on a sub-word register.
+	`small = 0; small[7..4] = 0xf; r0 = small; small[3..0] = small[7..4]; r1 = small;`,
+	// bits() is an unsigned field extract regardless of source sign.
+	`r0 = 0 - 1; r1 = bits(r0, 31, 24); r2 = bits(0xdeadbeef, 31, 28); r3 = bits(0xff, 3, 3);`,
+	// Narrow locals: declaration initializers truncate like assignments.
+	`bit[4] n = 0xff; r0 = n; int s = n - 16; r1 = s; bool b2 = 5; r2 = b2;`,
+	// 64-bit long edges: overflow wrap and full-width saturating ops.
+	`long l = 1; l <<= 62; l *= 2; r0 = l < 0; l = addsat(l, 0 - 1); r1 = l < 0;`,
+	// Mixed-width multiply then narrow store: high bits must drop the
+	// same way in both engines.
+	`wide = 0xfffffffff; r0 = wide * wide; small = wide * 3; r1 = small;`,
+}
+
+// TestCompiledMatchesInterpreterSignedness runs signednessBodies through
+// both behavior engines.
 func TestCompiledMatchesInterpreterSignedness(t *testing.T) {
-	bodies := []string{
-		// Mixed signed/unsigned comparison, top bit set: bit[8] 0xff is
-		// 255, int -1 sign-extends; they must never compare equal.
-		`small = 0xff; r0 = 0 - 1; r1 = small > r0; r2 = r0 < small; r3 = small == r0;`,
-		// Unsigned/unsigned comparison stays unsigned even at top-bit.
-		`unsigned a = 0x80000000; unsigned b = 1; r0 = a > b; r1 = a < b; r2 = min(a, b); r3 = max(a, b);`,
-		// Shift counts at and beyond the operand width; the dialect masks
-		// the count with &63, so x << 64 is x << 0.
-		`small = 0x80; r0 = small >> 9; r1 = small << 8; r2 = small >> 7;`,
-		`r0 = 1; r1 = r0 << 64; r2 = r0 >> 64; r3 = r0 << 63;`,
-		// Arithmetic right shift must sign-fill, including full-width counts.
-		`r0 = 0 - 8; r1 = r0 >> 1; r2 = r0 >> 63; r3 = r0 >> 31;`,
-		// Assignment truncation: wide values chopped into narrow registers,
-		// then read back with the register's own signedness.
-		`r0 = 0x12345; small = r0; r1 = small; wide = 0xffffffffff; r2 = wide; r3 = wide >> 32;`,
-		// Signed division/remainder edges: MinInt/-1 and divide-by-zero in
-		// both signedness worlds.
-		`r0 = 1 << 31; r1 = 0 - 1; r2 = r0 / r1; r3 = r0 % r1;`,
-		`r0 = 5 / 0; r1 = (0 - 5) / 0; r2 = 5 % 0; r3 = (0 - 5) % 0;`,
-		`unsigned u = 7; unsigned z = 0; r0 = u / z; r1 = u % z;`,
-		// Saturation and extension builtins at boundary widths.
-		`r0 = saturate(0 - 300, 8); r1 = saturate(127, 8); r2 = saturate(128, 8); r3 = saturate(0 - 128, 8);`,
-		`r0 = sign_extend(0xff, 8); r1 = sign_extend(0x7f, 8); r2 = zero_extend(0xffffffff, 16); r3 = sign_extend(0x8000, 16);`,
-		`small = 200; r0 = addsat(small, small); r1 = subsat(small, 0xff); wide = 0x7fffffffff; r2 = addsat(wide, 1);`,
-		// min/max compare the raw operand widths: bit[8] 0x80 against a
-		// negative int exercises the signed-compare path without widening.
-		`small = 0x80; r0 = 0 - 1; r1 = min(small, r0); r2 = max(small, r0); r3 = min(small, small);`,
-		// Unary negate/complement inside a narrow register wrap at its width.
-		`small = 1; small = 0 - small; r0 = small; small = ~small; r1 = small;`,
-		// Compound shifts truncate at the register width on every step.
-		`small = 0xf0; small <<= 4; r0 = small; small = 0x80; small >>= 1; r1 = small;`,
-		// Slice lvalue read-modify-write on a sub-word register.
-		`small = 0; small[7..4] = 0xf; r0 = small; small[3..0] = small[7..4]; r1 = small;`,
-		// bits() is an unsigned field extract regardless of source sign.
-		`r0 = 0 - 1; r1 = bits(r0, 31, 24); r2 = bits(0xdeadbeef, 31, 28); r3 = bits(0xff, 3, 3);`,
-		// Narrow locals: declaration initializers truncate like assignments.
-		`bit[4] n = 0xff; r0 = n; int s = n - 16; r1 = s; bool b2 = 5; r2 = b2;`,
-		// 64-bit long edges: overflow wrap and full-width saturating ops.
-		`long l = 1; l <<= 62; l *= 2; r0 = l < 0; l = addsat(l, 0 - 1); r1 = l < 0;`,
-		// Mixed-width multiply then narrow store: high bits must drop the
-		// same way in both engines.
-		`wide = 0xfffffffff; r0 = wide * wide; small = wide * 3; r1 = small;`,
-	}
-	for i, body := range bodies {
+	for i, body := range signednessBodies {
 		t.Run(fmt.Sprintf("adv%d", i), func(t *testing.T) {
 			runBoth(t, compileRegs+"\nOPERATION op { BEHAVIOR { "+body+" } }", "op")
 		})

@@ -6,6 +6,7 @@ import (
 
 	"golisa/internal/ast"
 	"golisa/internal/bitvec"
+	"golisa/internal/bitvec/kernel"
 	"golisa/internal/model"
 )
 
@@ -309,9 +310,7 @@ func (x *Exec) evalCall(f *frame, c *ast.CallExpr) (val, error) {
 	if strings.Contains(c.Name, ".") {
 		return x.pipeCall(c)
 	}
-	switch c.Name {
-	case "abs", "min", "max", "saturate", "sign_extend", "zero_extend",
-		"addsat", "subsat", "bits", "print", "wait_states":
+	if IsBuiltin(c.Name) {
 		return x.builtin(f, c)
 	}
 	// Binding call: Group() executes the bound member's behavior.
@@ -331,25 +330,9 @@ func (x *Exec) evalCall(f *frame, c *ast.CallExpr) (val, error) {
 }
 
 func (x *Exec) pipeCall(c *ast.CallExpr) (val, error) {
-	parts := strings.Split(c.Name, ".")
-	p := x.M.Pipeline(parts[0])
-	if p == nil {
-		return val{}, fmt.Errorf("%s: unknown pipeline %s", c.Pos, parts[0])
-	}
-	stage := -1
-	op := parts[len(parts)-1]
-	if len(parts) == 3 {
-		stage = p.StageIndex(parts[1])
-		if stage < 0 {
-			return val{}, fmt.Errorf("%s: unknown stage %s.%s", c.Pos, parts[0], parts[1])
-		}
-	} else if len(parts) != 2 {
-		return val{}, fmt.Errorf("%s: malformed pipeline call %s", c.Pos, c.Name)
-	}
-	switch op {
-	case "shift", "stall", "flush":
-	default:
-		return val{}, fmt.Errorf("%s: unknown pipeline operation %s", c.Pos, op)
+	p, stage, op, err := resolvePipeCall(x.M, c)
+	if err != nil {
+		return val{}, err
 	}
 	if x.Ctx == nil {
 		return val{}, fmt.Errorf("%s: pipeline operation %s outside simulation context", c.Pos, c.Name)
@@ -358,118 +341,30 @@ func (x *Exec) pipeCall(c *ast.CallExpr) (val, error) {
 }
 
 func (x *Exec) builtin(f *frame, c *ast.CallExpr) (val, error) {
-	if c.Name == "wait_states" {
-		if len(c.Args) != 1 {
-			return val{}, fmt.Errorf("%s: wait_states expects 1 argument", c.Pos)
-		}
-		id, ok := c.Args[0].(*ast.Ident)
-		if !ok {
-			return val{}, fmt.Errorf("%s: wait_states expects a resource name", c.Pos)
-		}
-		r := x.M.Resource(id.Name)
-		if r == nil {
-			return val{}, fmt.Errorf("%s: unknown resource %s", c.Pos, id.Name)
-		}
-		return val{bitvec.New(uint64(r.Wait), 32), false}, nil
+	b, err := lookupBuiltin(c)
+	if err != nil {
+		return val{}, err
 	}
-	argv := make([]val, len(c.Args))
-	for i, a := range c.Args {
-		if _, isStr := a.(*ast.StrLit); isStr && c.Name == "print" {
-			continue
-		}
-		v, err := x.eval(f, a)
+	switch c.Name {
+	case "wait_states":
+		return waitStates(x.M, c)
+	case "print":
+		line, err := formatPrint(c.Args, func(i int) (val, error) { return x.eval(f, c.Args[i]) })
 		if err != nil {
 			return val{}, err
 		}
-		argv[i] = v
-	}
-	need := func(n int) error {
-		if len(c.Args) != n {
-			return fmt.Errorf("%s: %s expects %d arguments, got %d", c.Pos, c.Name, n, len(c.Args))
-		}
-		return nil
-	}
-	switch c.Name {
-	case "abs":
-		if err := need(1); err != nil {
-			return val{}, err
-		}
-		return val{bitvec.Abs(argv[0].v), true}, nil
-	case "min", "max":
-		if err := need(2); err != nil {
-			return val{}, err
-		}
-		a, b := argv[0], argv[1]
-		cmp := bitvec.CmpS(a.v, b.v)
-		if !a.signed && !b.signed {
-			cmp = bitvec.CmpU(a.v, b.v)
-		}
-		pickA := cmp <= 0
-		if c.Name == "max" {
-			pickA = cmp >= 0
-		}
-		if pickA {
-			return a, nil
-		}
-		return b, nil
-	case "saturate":
-		if err := need(2); err != nil {
-			return val{}, err
-		}
-		return val{bitvec.SatS(argv[0].v, int(argv[1].v.Int())), true}, nil
-	case "sign_extend":
-		if err := need(2); err != nil {
-			return val{}, err
-		}
-		wide := argv[0].v.Resize(64)
-		return val{bitvec.SignExtend(wide, int(argv[1].v.Int())), true}, nil
-	case "zero_extend":
-		if err := need(2); err != nil {
-			return val{}, err
-		}
-		wide := argv[0].v.Resize(64)
-		return val{bitvec.ZeroExtend(wide, int(argv[1].v.Int())), false}, nil
-	case "addsat":
-		if err := need(2); err != nil {
-			return val{}, err
-		}
-		return val{bitvec.AddSat(argv[0].v, argv[1].v), true}, nil
-	case "subsat":
-		if err := need(2); err != nil {
-			return val{}, err
-		}
-		return val{bitvec.SubSat(argv[0].v, argv[1].v), true}, nil
-	case "bits":
-		if err := need(3); err != nil {
-			return val{}, err
-		}
-		return val{argv[0].v.Slice(int(argv[1].v.Int()), int(argv[2].v.Int())), false}, nil
-	case "print":
 		if x.Ctx != nil {
-			x.Ctx.Print(x.formatPrint(f, c, argv))
+			x.Ctx.Print(line)
 		}
 		return val{}, nil
 	}
-	return val{}, fmt.Errorf("%s: unknown builtin %s", c.Pos, c.Name)
-}
-
-// formatPrint renders print() arguments: string literals verbatim, values
-// as decimal, space-separated.
-func (x *Exec) formatPrint(f *frame, c *ast.CallExpr, argv []val) string {
-	parts := make([]string, 0, len(c.Args))
+	var argv [maxBuiltinArgs]val
 	for i, a := range c.Args {
-		if s, ok := a.(*ast.StrLit); ok {
-			parts = append(parts, s.Val)
-			continue
-		}
-		v := argv[i]
-		if v.signed {
-			parts = append(parts, fmt.Sprintf("%d", v.v.Int()))
-		} else {
-			parts = append(parts, fmt.Sprintf("%d", v.v.Uint()))
+		if argv[i], err = x.eval(f, a); err != nil {
+			return val{}, err
 		}
 	}
-	return strings.Join(parts, " ")
+	return b.fn(argv[0], argv[1], argv[2]), nil
 }
 
 // --- operators ----------------------------------------------------------------
@@ -547,19 +442,13 @@ func binop(op string, l, r val) (val, error) {
 		if signed {
 			return val{bitvec.DivS(a, b), true}, nil
 		}
-		if b.IsZero() {
-			return val{bitvec.New(bitvec.Mask(w), w), false}, nil
-		}
-		return val{bitvec.New(a.Uint()/b.Uint(), w), false}, nil
+		return val{bitvec.New(kernel.DivU(a.Uint(), b.Uint(), w), w), false}, nil
 	case "%":
 		a, b, w := widen()
 		if signed {
 			return val{bitvec.RemS(a, b), true}, nil
 		}
-		if b.IsZero() {
-			return val{bitvec.New(0, w), false}, nil
-		}
-		return val{bitvec.New(a.Uint()%b.Uint(), w), false}, nil
+		return val{bitvec.New(kernel.RemU(a.Uint(), b.Uint(), w), w), false}, nil
 	case "&":
 		a, b, _ := widen()
 		return val{bitvec.And(a, b), signed}, nil

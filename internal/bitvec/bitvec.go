@@ -10,6 +10,8 @@ package bitvec
 import (
 	"fmt"
 	"strconv"
+
+	"golisa/internal/bitvec/kernel"
 )
 
 // MaxWidth is the widest representable value in bits.
@@ -24,15 +26,7 @@ type Value struct {
 }
 
 // Mask returns the bit mask covering width bits.
-func Mask(width int) uint64 {
-	if width <= 0 {
-		return 0
-	}
-	if width >= 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << uint(width)) - 1
-}
+func Mask(width int) uint64 { return kernel.Mask(width) }
 
 // New builds a Value of the given width from the low bits of raw.
 // Widths outside [1,64] are clamped.
@@ -43,7 +37,7 @@ func New(raw uint64, width int) Value {
 	if width > MaxWidth {
 		width = MaxWidth
 	}
-	return Value{bits: raw & Mask(width), width: uint8(width)}
+	return Value{bits: raw & kernel.Mask(width), width: uint8(width)}
 }
 
 // FromInt builds a width-bit value from a signed integer (two's complement
@@ -67,20 +61,7 @@ func (v Value) Width() int { return int(v.width) }
 func (v Value) Uint() uint64 { return v.bits }
 
 // Int returns the payload sign-extended from the value's width.
-func (v Value) Int() int64 {
-	w := int(v.width)
-	if w == 0 {
-		return 0
-	}
-	if w >= 64 {
-		return int64(v.bits)
-	}
-	sign := uint64(1) << uint(w-1)
-	if v.bits&sign != 0 {
-		return int64(v.bits | ^Mask(w))
-	}
-	return int64(v.bits)
-}
+func (v Value) Int() int64 { return int64(kernel.SignExt(v.bits, int(v.width))) }
 
 // IsZero reports whether all bits are clear.
 func (v Value) IsZero() bool { return v.bits == 0 }
@@ -132,9 +113,9 @@ func (v Value) InsertSlice(hi, lo int, src uint64) Value {
 		hi, lo = lo, hi
 	}
 	w := hi - lo + 1
-	m := Mask(w) << uint(lo)
+	m := kernel.Mask(w) << uint(lo)
 	v.bits = (v.bits &^ m) | ((src << uint(lo)) & m)
-	v.bits &= Mask(int(v.width))
+	v.bits &= kernel.Mask(int(v.width))
 	return v
 }
 
@@ -158,29 +139,13 @@ func Mul(a, b Value) Value { w := widen(a, b); return New(a.bits*b.bits, w) }
 // (matching common DSP "undefined" behaviour deterministically).
 func DivS(a, b Value) Value {
 	w := widen(a, b)
-	bi := b.Int()
-	if bi == 0 {
-		return New(^uint64(0), w)
-	}
-	ai := a.Int()
-	if ai == -1<<63 && bi == -1 {
-		return FromInt(ai, w)
-	}
-	return FromInt(ai/bi, w)
+	return New(kernel.DivS(a.SignResize(w).bits, b.SignResize(w).bits, w), w)
 }
 
 // RemS returns the signed remainder a%b; remainder by zero yields zero.
 func RemS(a, b Value) Value {
 	w := widen(a, b)
-	bi := b.Int()
-	if bi == 0 {
-		return New(0, w)
-	}
-	ai := a.Int()
-	if ai == -1<<63 && bi == -1 {
-		return New(0, w)
-	}
-	return FromInt(ai%bi, w)
+	return New(kernel.RemS(a.SignResize(w).bits, b.SignResize(w).bits, w), w)
 }
 
 // And returns a&b at the wider operand width.
@@ -200,26 +165,17 @@ func Neg(v Value) Value { return New(-v.bits, int(v.width)) }
 
 // Shl returns a << n at a's width. Shifts >= width clear the value.
 func Shl(a Value, n uint) Value {
-	if n >= uint(a.width) {
-		return New(0, int(a.width))
-	}
-	return New(a.bits<<n, int(a.width))
+	return New(kernel.Shl(a.bits, uint64(n), int(a.width)), int(a.width))
 }
 
 // ShrU returns the logical right shift a >> n.
 func ShrU(a Value, n uint) Value {
-	if n >= uint(a.width) {
-		return New(0, int(a.width))
-	}
-	return New(a.bits>>n, int(a.width))
+	return New(kernel.ShrU(a.bits, uint64(n), int(a.width)), int(a.width))
 }
 
 // ShrS returns the arithmetic right shift of a by n.
 func ShrS(a Value, n uint) Value {
-	if n >= uint(a.width) {
-		n = uint(a.width) - 1
-	}
-	return FromInt(a.Int()>>n, int(a.width))
+	return New(kernel.ShrS(a.bits, uint64(n), int(a.width)), int(a.width))
 }
 
 // CmpS compares signed: -1, 0 or +1.
@@ -260,8 +216,7 @@ func SignExtend(v Value, from int) Value {
 	if from > int(v.width) {
 		from = int(v.width)
 	}
-	low := New(v.bits, from)
-	return FromInt(low.Int(), int(v.width))
+	return New(kernel.SignExt(v.bits, from), int(v.width))
 }
 
 // ZeroExtend clears all bits of v above from. It models zero_extend(x, from).
@@ -272,7 +227,7 @@ func ZeroExtend(v Value, from int) Value {
 	if from > int(v.width) {
 		from = int(v.width)
 	}
-	return New(v.bits&Mask(from), int(v.width))
+	return New(v.bits&kernel.Mask(from), int(v.width))
 }
 
 // SatS saturates the signed value of v into to bits, returned at v's width.
@@ -284,41 +239,21 @@ func SatS(v Value, to int) Value {
 	if to > 64 {
 		to = 64
 	}
-	i := v.Int()
-	max := int64(Mask(to - 1)) // 2^(to-1)-1
-	min := -max - 1            // -2^(to-1)
-	if to == 64 {
-		return v
-	}
-	if i > max {
-		i = max
-	} else if i < min {
-		i = min
-	}
-	return FromInt(i, int(v.width))
+	return New(kernel.SatS(v.bits, int(v.width), to), int(v.width))
 }
 
 // AddSat performs signed saturating addition at the wider operand width.
 func AddSat(a, b Value) Value {
-	w := widen(a, b)
-	wide := FromInt(a.Int()+b.Int(), 64)
-	return SatS(wide, w).Resize(w)
+	return New(kernel.AddSat(a.bits, int(a.width), b.bits, int(b.width), false), widen(a, b))
 }
 
 // SubSat performs signed saturating subtraction at the wider operand width.
 func SubSat(a, b Value) Value {
-	w := widen(a, b)
-	wide := FromInt(a.Int()-b.Int(), 64)
-	return SatS(wide, w).Resize(w)
+	return New(kernel.AddSat(a.bits, int(a.width), b.bits, int(b.width), true), widen(a, b))
 }
 
 // Abs returns |v| at v's width (the most negative value wraps, like hardware).
-func Abs(v Value) Value {
-	if v.Int() < 0 {
-		return Neg(v)
-	}
-	return v
-}
+func Abs(v Value) Value { return New(kernel.Abs(v.bits, int(v.width)), int(v.width)) }
 
 // String renders the value as 0x… with its width, e.g. "0x002a:16".
 func (v Value) String() string {

@@ -229,6 +229,34 @@ func TestBatchEndpointHardening(t *testing.T) {
 	}
 }
 
+// TestBatchOversizedImage posts a job whose .space directive runs past
+// program memory (it used to allocate 2^39 words and kill the server):
+// the job fails with the assembler's error in the JSON summary, and the
+// server goes on serving.
+func TestBatchOversizedImage(t *testing.T) {
+	ts, _ := newBatchServer(t)
+	post := func(man string) fleet.Summary {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/batch", "application/json", strings.NewReader(man))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var sum fleet.Summary
+		if err := json.NewDecoder(resp.Body).Decode(&sum); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, decode error %v", resp.StatusCode, err)
+		}
+		return sum
+	}
+	sum := post(`{"jobs":[{"name":"big","source":"LDI B1, 1\n.space 0x7fffffffff\nHALT\n"}]}`)
+	if sum.Failed != 1 || len(sum.Results) != 1 || !strings.Contains(sum.Results[0].Err, "past the end of program memory") {
+		t.Fatalf("failed %d, results %+v; want the job failed with the assembler's error", sum.Failed, sum.Results)
+	}
+	if sum := post(countdownManifest(t, 2)); sum.Failed != 0 || len(sum.Results) != 2 {
+		t.Fatalf("batch after the oversized job: failed %d of %d", sum.Failed, len(sum.Results))
+	}
+}
+
 // TestBatchEndpointsConcurrent hammers /batch and /batch/stream in
 // parallel against one server sharing one metrics collector — the -race
 // check that per-batch telemetry serialization and the cross-batch

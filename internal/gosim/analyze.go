@@ -7,6 +7,7 @@ import (
 	"golisa/internal/asm"
 	"golisa/internal/ast"
 	"golisa/internal/bitvec"
+	"golisa/internal/bitvec/kernel"
 	"golisa/internal/coding"
 	"golisa/internal/core"
 	"golisa/internal/model"
@@ -150,7 +151,7 @@ func Compile(mc *core.Machine, prog *asm.Program) (*Program, error) {
 	wordW := clampW(prog.Width)
 	p.Words = make([]uint64, len(prog.Words))
 	for i, w := range prog.Words {
-		p.Words[i] = w & maskN(wordW)
+		p.Words[i] = w & kernel.Mask(wordW)
 	}
 
 	b := &build{m: m, progMem: p.progMem}
@@ -373,7 +374,7 @@ func (p *Program) buildHandlers(b *build, prog *asm.Program) error {
 
 	dec := coding.NewDecoder(b.m)
 	addWord := func(raw uint64, addr uint64, known bool) error {
-		key := raw & maskN(p.dispW)
+		key := raw & kernel.Mask(p.dispW)
 		if h, ok := p.handlers[key]; ok {
 			if known {
 				h.addrs = append(h.addrs, addr)

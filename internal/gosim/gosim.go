@@ -33,30 +33,13 @@ import (
 // interpretive/compiled engines.
 var ErrUnsupported = errors.New("unsupported by the generated-code simulator")
 
-// Backend selects how an Engine executes.
-type Backend int
-
-const (
-	// Auto runs a native runner when the program is at least
-	// DefaultMinBuildWords long and its runner is cached or the Go
-	// toolchain is on PATH to build it; otherwise it runs the in-process
-	// IR interpreter.
-	Auto Backend = iota
-	// ForceIR always runs the in-process interpreter.
-	ForceIR
-	// ForceNative always runs the subprocess runner, and
-	// propagates build/exec failures instead of falling back.
-	ForceNative
-)
-
-// DefaultMinBuildWords is the Auto-backend build threshold: programs
+// DefaultMinBuildWords is the engine's build threshold: programs
 // shorter than this run on the IR interpreter, since a `go build` costs
 // far more than the whole simulation.
 const DefaultMinBuildWords = 4
 
 // Options shapes one Engine.
 type Options struct {
-	Backend Backend
 	// OnPrint receives each print() line as it retires; nil collects
 	// lines only into Result.Prints.
 	OnPrint func(string)
@@ -83,8 +66,8 @@ type Result struct {
 	// CacheHit reports that the runner binary came from the cache without
 	// invoking `go build` in this process.
 	CacheHit bool
-	// Fallback explains why an Auto engine ran on the IR interpreter
-	// instead of a native runner; empty on native runs and ForceIR.
+	// Fallback explains why the engine ran on the IR interpreter
+	// instead of a native runner; empty on native runs.
 	Fallback string
 	// Scalars and Arrays are the final architectural state, slot-indexed
 	// like model.State.
@@ -97,8 +80,10 @@ type Result struct {
 	Penalty map[string]uint64
 }
 
-// Engine runs one compiled Program, choosing between the native runner
-// and the in-process interpreter per Options. Engines are cheap; the
+// Engine runs one compiled Program on a native runner when the program
+// is at least DefaultMinBuildWords long and its runner is cached or the
+// Go toolchain is on PATH to build it, and on the in-process IR
+// interpreter otherwise. Engines are cheap; the
 // expensive artifacts (the Program, the runner binary and its resident
 // processes) are shared through the Program itself and the Cache.
 type Engine struct {
@@ -108,14 +93,14 @@ type Engine struct {
 }
 
 // NewEngine creates an engine over a compiled program. cache may be nil,
-// which confines Auto to the IR interpreter.
+// which confines the engine to the IR interpreter.
 func NewEngine(p *Program, cache *Cache, opt Options) *Engine {
 	return &Engine{P: p, Cache: cache, Opt: opt}
 }
 
-// Run executes up to max control steps and returns the result. Auto
-// engines degrade to the IR interpreter on any native-path obstacle,
-// recording the reason in Result.Fallback; ForceNative propagates it.
+// Run executes up to max control steps and returns the result. The
+// engine degrades to the IR interpreter on any native-path obstacle,
+// recording the reason in Result.Fallback.
 func (e *Engine) Run(max uint64) (*Result, error) {
 	reason := e.nativeObstacle()
 	if reason == "" {
@@ -125,16 +110,10 @@ func (e *Engine) Run(max uint64) (*Result, error) {
 			// line): the IR backend would reproduce it, so it is final.
 			return res, err
 		}
-		if e.Opt.Backend == ForceNative {
-			return nil, err
-		}
 		reason = err.Error()
 	}
-	if e.Opt.Backend == ForceNative {
-		return nil, fmt.Errorf("gosim: native backend unavailable: %s", reason)
-	}
 	res, err := e.runIR(max)
-	if res != nil && e.Opt.Backend == Auto {
+	if res != nil {
 		res.Fallback = reason
 	}
 	return res, err
@@ -142,13 +121,10 @@ func (e *Engine) Run(max uint64) (*Result, error) {
 
 // nativeObstacle reports why the native path cannot run ("" = it can).
 func (e *Engine) nativeObstacle() string {
-	if e.Opt.Backend == ForceIR {
-		return "backend forced to the IR interpreter"
-	}
 	if e.Cache == nil {
 		return "no runner cache configured"
 	}
-	if e.Opt.Backend == Auto && len(e.P.Words) < DefaultMinBuildWords {
+	if len(e.P.Words) < DefaultMinBuildWords {
 		return fmt.Sprintf("program has %d words, below the %d-word build threshold", len(e.P.Words), DefaultMinBuildWords)
 	}
 	return ""

@@ -62,7 +62,8 @@ end:    HALT
 // opsModel is an unpipelined machine whose instructions stress the
 // semantic corners the emitter must get right: signed/unsigned division
 // and remainder, shift-count masking, mixed-signedness compares, alias
-// slices, saturation, and print formatting.
+// slices, saturation, print formatting, and an arithmetic right shift
+// of a negative 64-bit value by more than 32 bits.
 const opsModel = `
 RESOURCE {
   PROGRAM_COUNTER int pc;
@@ -137,6 +138,9 @@ OPERATION i_shift {
     r2 = r0 >> 2;
     small = small >> 1;
     unsigned u = r0;
+    long q = r0;
+    q = q * 1024;
+    r1 = r1 + (q >> 40);
     r1 = r1 ^ (u >> 2);
     r2 = r2 + (r0 << 35);
   }
@@ -211,6 +215,7 @@ const opsProg = `
         PRT
         IMM 4000
         ARITH
+        SHIFT
         CMP
         SATB
         MEM 19
@@ -397,11 +402,11 @@ func TestNativeMatchesIR(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, _, p := loadPair(t, tc.name, tc.lisa, tc.prog)
 			var irSnaps, natSnaps []snap
-			ir, err := NewEngine(p, nil, Options{Backend: ForceIR, OnCycleState: collector(&irSnaps)}).Run(10_000)
+			ir, err := NewEngine(p, nil, Options{OnCycleState: collector(&irSnaps)}).runIR(10_000)
 			if err != nil {
 				t.Fatalf("IR run: %v", err)
 			}
-			nat, err := NewEngine(p, cache, Options{Backend: ForceNative, OnCycleState: collector(&natSnaps)}).Run(10_000)
+			nat, err := NewEngine(p, cache, Options{OnCycleState: collector(&natSnaps)}).runNative(10_000)
 			if err != nil {
 				t.Fatalf("native run: %v", err)
 			}
@@ -450,12 +455,11 @@ func TestLockstepNativeVsInterpretive(t *testing.T) {
 				return p.StateFrom(cur.sc, cur.arr)
 			}, ref)
 			res, err := NewEngine(p, cache, Options{
-				Backend: ForceNative,
 				OnCycleState: func(n uint64, sc []uint64, arr [][]uint64) {
 					cur = snap{n: n, sc: sc, arr: arr}
 					ls.Tick(n)
 				},
-			}).Run(10_000)
+			}).runNative(10_000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -476,8 +480,8 @@ func TestCacheBuildsOnce(t *testing.T) {
 	_, _, p := loadPair(t, "simple16", "", progLoop)
 	dir := t.TempDir()
 	c := NewCache(dir)
-	eng := NewEngine(p, c, Options{Backend: ForceNative})
-	r1, err := eng.Run(10_000)
+	eng := NewEngine(p, c, Options{})
+	r1, err := eng.runNative(10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +491,7 @@ func TestCacheBuildsOnce(t *testing.T) {
 	if got := c.Builds(); got != 1 {
 		t.Fatalf("builds after first run: %d, want 1", got)
 	}
-	r2, err := eng.Run(10_000)
+	r2, err := eng.runNative(10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +504,7 @@ func TestCacheBuildsOnce(t *testing.T) {
 	// A fresh Cache over the same directory models a new process: the
 	// on-disk binary must satisfy it without any build.
 	c2 := NewCache(dir)
-	r3, err := NewEngine(p, c2, Options{Backend: ForceNative}).Run(10_000)
+	r3, err := NewEngine(p, c2, Options{}).runNative(10_000)
 	if err != nil {
 		t.Fatal(err)
 	}

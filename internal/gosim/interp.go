@@ -6,35 +6,20 @@ import (
 	"strings"
 
 	"golisa/internal/bitvec"
+	"golisa/internal/bitvec/kernel"
 	"golisa/internal/model"
 )
 
 // The in-process backend compiles the IR into threaded code: one Go
 // closure per expression node and statement, specialized at compile time
 // on operator, width and signedness, so the per-cycle loop runs with no
-// AST walking, no map lookups and no bitvec boxing. It is the fallback
-// engine when the Go toolchain is unavailable (or the program too short
-// to amortize a build), and the reference the emitted runner is
-// cross-checked against in tests.
-
-func maskN(w int) uint64 {
-	if w <= 0 {
-		return 0
-	}
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << uint(w)) - 1
-}
-
-// sx64 sign-extends the low w bits of v to 64 bits.
-func sx64(v uint64, w int) uint64 {
-	if w <= 0 || w >= 64 {
-		return v
-	}
-	sh := uint(64 - w)
-	return uint64(int64(v<<sh) >> sh)
-}
+// AST walking, no map lookups and no bitvec boxing. Every operator whose
+// result depends on more than a mask calls the shared semantic kernel
+// (internal/bitvec/kernel), the same functions bitvec.Value and the
+// emitted runner execute. It is the fallback engine when the Go
+// toolchain is unavailable (or the program too short to amortize a
+// build), and the reference the emitted runner is cross-checked against
+// in tests.
 
 type efn func(*Machine) uint64
 type sfn func(*Machine)
@@ -159,7 +144,7 @@ func (m *Machine) Reset() {
 	if p.progMem != nil {
 		arr := m.arr[p.progMem.Slot]
 		base, size := p.progMem.Base, p.progMem.Size
-		mk := maskN(p.progMem.Width)
+		mk := kernel.Mask(p.progMem.Width)
 		for i, w := range p.Words {
 			a := p.Origin + uint64(i)
 			if a >= base && a-base < size {
@@ -389,7 +374,7 @@ func compileStmtFn(p *Program, s *stmt) sfn {
 				case pp.fn == nil:
 					segs[i] = pp.str
 				case pp.signed:
-					segs[i] = strconv.FormatInt(int64(sx64(pp.fn(m), pp.w)), 10)
+					segs[i] = strconv.FormatInt(int64(kernel.SignExt(pp.fn(m), pp.w)), 10)
 				default:
 					segs[i] = strconv.FormatUint(pp.fn(m), 10)
 				}
@@ -400,7 +385,7 @@ func compileStmtFn(p *Program, s *stmt) sfn {
 		}
 	case sDispatch:
 		rrSlot := p.rootRes.Slot
-		dmask := maskN(p.dispW)
+		dmask := kernel.Mask(p.dispW)
 		return func(m *Machine) {
 			key := m.sc[rrSlot] & dmask
 			if msg, bad := p.rt.dispErr[key]; bad {
@@ -425,15 +410,15 @@ func compileAssignFn(p *Program, lhs *lval, rhs *expr) sfn {
 	switch lhs.kind {
 	case lLocal:
 		idx, lw := lhs.local.idx, lhs.local.w
-		mk := maskN(lw)
+		mk := kernel.Mask(lw)
 		if lhs.local.signed {
 			rw := lhs.rhsW
-			return func(m *Machine) { m.loc[idx] = sx64(rf(m), rw) & mk }
+			return func(m *Machine) { m.loc[idx] = kernel.SignExt(rf(m), rw) & mk }
 		}
 		return func(m *Machine) { m.loc[idx] = rf(m) & mk }
 	case lScalar:
 		r := lhs.res
-		mk := maskN(r.Width)
+		mk := kernel.Mask(r.Width)
 		if r.Latch {
 			pi := p.latchIdx[r]
 			return func(m *Machine) {
@@ -446,9 +431,9 @@ func compileAssignFn(p *Program, lhs *lval, rhs *expr) sfn {
 	case lSlice:
 		r := lhs.res
 		slot := r.Slot
-		bmk := maskN(r.Width)
+		bmk := kernel.Mask(r.Width)
 		lo := uint(lhs.lo)
-		mm := maskN(lhs.hi-lhs.lo+1) << lo
+		mm := kernel.Mask(lhs.hi-lhs.lo+1) << lo
 		if r.Latch {
 			pi := p.latchIdx[r]
 			return func(m *Machine) {
@@ -465,7 +450,7 @@ func compileAssignFn(p *Program, lhs *lval, rhs *expr) sfn {
 		r := lhs.res
 		slot := r.Slot
 		base, size := r.Base, r.Size
-		mk := maskN(r.Width)
+		mk := kernel.Mask(r.Width)
 		af := compileExprFn(lhs.idx)
 		return func(m *Machine) {
 			a := af(m)
@@ -485,8 +470,8 @@ func compileAssignFn(p *Program, lhs *lval, rhs *expr) sfn {
 func widenFn(c *expr, cf efn, to int) efn {
 	if c.signed && c.w < to {
 		w := c.w
-		mk := maskN(to)
-		return func(m *Machine) uint64 { return sx64(cf(m), w) & mk }
+		mk := kernel.Mask(to)
+		return func(m *Machine) uint64 { return kernel.SignExt(cf(m), w) & mk }
 	}
 	return cf
 }
@@ -498,10 +483,9 @@ func widenFn(c *expr, cf efn, to int) efn {
 // Resize(w) followed by CmpS).
 func cmpIntFn(c *expr, cf efn, w int) func(*Machine) int64 {
 	if c.signed {
-		cw := c.w
-		return func(m *Machine) int64 { return int64(sx64(cf(m), cw)) }
+		w = c.w
 	}
-	return func(m *Machine) int64 { return int64(sx64(cf(m), w)) }
+	return func(m *Machine) int64 { return int64(kernel.SignExt(cf(m), w)) }
 }
 
 func compileExprFn(e *expr) efn {
@@ -529,21 +513,16 @@ func compileExprFn(e *expr) efn {
 	case eSlice:
 		af := compileExprFn(e.a)
 		lo := uint(e.n)
-		mk := maskN(e.w)
+		mk := kernel.Mask(e.w)
 		return func(m *Machine) uint64 { return (af(m) >> lo) & mk }
 	case eUn:
 		af := compileExprFn(e.a)
-		mk := maskN(e.w)
+		mk := kernel.Mask(e.w)
 		switch e.op {
 		case "-":
 			return func(m *Machine) uint64 { return (-af(m)) & mk }
 		case "!":
-			return func(m *Machine) uint64 {
-				if af(m) == 0 {
-					return 1
-				}
-				return 0
-			}
+			return func(m *Machine) uint64 { return kernel.Bool(af(m) == 0) }
 		case "~":
 			return func(m *Machine) uint64 { return (^af(m)) & mk }
 		}
@@ -562,88 +541,39 @@ func compileExprFn(e *expr) efn {
 	case eAbs:
 		af := compileExprFn(e.a)
 		w := e.a.w
-		mk := maskN(w)
-		return func(m *Machine) uint64 {
-			v := af(m)
-			if int64(sx64(v, w)) < 0 {
-				return (-v) & mk
-			}
-			return v
-		}
+		return func(m *Machine) uint64 { return kernel.Abs(af(m), w) }
 	case eMinMax:
 		af := compileExprFn(e.a)
 		bf := compileExprFn(e.b)
 		w := e.a.w
-		wantMax := e.op == "max"
-		if e.a.signed {
-			return func(m *Machine) uint64 {
-				av, bv := af(m), bf(m)
-				ai, bi := int64(sx64(av, w)), int64(sx64(bv, w))
-				if (ai <= bi) != wantMax {
-					return av
-				}
-				return bv
-			}
-		}
-		return func(m *Machine) uint64 {
-			av, bv := af(m), bf(m)
-			if (av <= bv) != wantMax {
-				return av
-			}
-			return bv
+		switch {
+		case e.a.signed && e.op == "min":
+			return func(m *Machine) uint64 { return kernel.MinS(af(m), bf(m), w) }
+		case e.a.signed:
+			return func(m *Machine) uint64 { return kernel.MaxS(af(m), bf(m), w) }
+		case e.op == "min":
+			return func(m *Machine) uint64 { return kernel.MinU(af(m), bf(m)) }
+		default:
+			return func(m *Machine) uint64 { return kernel.MaxU(af(m), bf(m)) }
 		}
 	case eSat:
 		af := compileExprFn(e.a)
 		w, to := e.a.w, e.n
-		if to >= 64 {
-			return af
-		}
-		hi := int64(maskN(to - 1))
-		lo := -hi - 1
-		mk := maskN(w)
-		return func(m *Machine) uint64 {
-			i := int64(sx64(af(m), w))
-			if i > hi {
-				i = hi
-			} else if i < lo {
-				i = lo
-			}
-			return uint64(i) & mk
-		}
+		return func(m *Machine) uint64 { return kernel.SatS(af(m), w, to) }
 	case eSext:
 		af := compileExprFn(e.a)
 		n := e.n
-		mk := maskN(n)
-		return func(m *Machine) uint64 { return sx64(af(m)&mk, n) }
+		return func(m *Machine) uint64 { return kernel.SignExt(af(m), n) }
 	case eZext:
 		af := compileExprFn(e.a)
-		mk := maskN(e.n)
+		mk := kernel.Mask(e.n)
 		return func(m *Machine) uint64 { return af(m) & mk }
 	case eAddSat:
 		af := compileExprFn(e.a)
 		bf := compileExprFn(e.b)
-		aw, bw, w := e.a.w, e.b.w, e.w
+		aw, bw := e.a.w, e.b.w
 		sub := e.op == "-"
-		hi := int64(maskN(w - 1))
-		lo := -hi - 1
-		mk := maskN(w)
-		return func(m *Machine) uint64 {
-			ai, bi := int64(sx64(af(m), aw)), int64(sx64(bf(m), bw))
-			var s int64
-			if sub {
-				s = ai - bi
-			} else {
-				s = ai + bi
-			}
-			if w < 64 {
-				if s > hi {
-					s = hi
-				} else if s < lo {
-					s = lo
-				}
-			}
-			return uint64(s) & mk
-		}
+		return func(m *Machine) uint64 { return kernel.AddSat(af(m), aw, bf(m), bw, sub) }
 	}
 	panic("gosim: unknown expression kind")
 }
@@ -660,7 +590,7 @@ func compileBinFn(e *expr) efn {
 	case "+", "-", "*", "&", "|", "^", "==", "!=", "/", "%":
 		af := widenFn(l, lf, w)
 		bf := widenFn(r, rf, w)
-		mk := maskN(w)
+		mk := kernel.Mask(w)
 		signed := l.signed || r.signed
 		switch e.op {
 		case "+":
@@ -676,150 +606,60 @@ func compileBinFn(e *expr) efn {
 		case "^":
 			return func(m *Machine) uint64 { return af(m) ^ bf(m) }
 		case "==":
-			return func(m *Machine) uint64 {
-				if af(m) == bf(m) {
-					return 1
-				}
-				return 0
-			}
+			return func(m *Machine) uint64 { return kernel.Bool(af(m) == bf(m)) }
 		case "!=":
-			return func(m *Machine) uint64 {
-				if af(m) != bf(m) {
-					return 1
-				}
-				return 0
-			}
+			return func(m *Machine) uint64 { return kernel.Bool(af(m) != bf(m)) }
 		case "/":
 			if signed {
-				return func(m *Machine) uint64 {
-					ai, bi := int64(sx64(af(m), w)), int64(sx64(bf(m), w))
-					switch {
-					case bi == 0:
-						return mk
-					case ai == -1<<63 && bi == -1:
-						return uint64(ai) & mk
-					default:
-						return uint64(ai/bi) & mk
-					}
-				}
+				return func(m *Machine) uint64 { return kernel.DivS(af(m), bf(m), w) }
 			}
-			return func(m *Machine) uint64 {
-				a, b := af(m), bf(m)
-				if b == 0 {
-					return mk
-				}
-				return (a / b) & mk
-			}
+			return func(m *Machine) uint64 { return kernel.DivU(af(m), bf(m), w) }
 		default: // "%"
 			if signed {
-				return func(m *Machine) uint64 {
-					ai, bi := int64(sx64(af(m), w)), int64(sx64(bf(m), w))
-					switch {
-					case bi == 0:
-						return 0
-					case ai == -1<<63 && bi == -1:
-						return 0
-					default:
-						return uint64(ai%bi) & mk
-					}
-				}
+				return func(m *Machine) uint64 { return kernel.RemS(af(m), bf(m), w) }
 			}
-			return func(m *Machine) uint64 {
-				a, b := af(m), bf(m)
-				if b == 0 {
-					return 0
-				}
-				return (a % b) & mk
-			}
+			return func(m *Machine) uint64 { return kernel.RemU(af(m), bf(m), w) }
 		}
 	case "<", "<=", ">", ">=":
-		signed := l.signed || r.signed
-		op := e.op
-		if signed {
+		if l.signed || r.signed {
 			ai := cmpIntFn(l, lf, w)
 			bi := cmpIntFn(r, rf, w)
-			return func(m *Machine) uint64 {
-				a, b := ai(m), bi(m)
-				var ok bool
-				switch op {
-				case "<":
-					ok = a < b
-				case "<=":
-					ok = a <= b
-				case ">":
-					ok = a > b
-				default:
-					ok = a >= b
-				}
-				if ok {
-					return 1
-				}
-				return 0
+			switch e.op {
+			case "<":
+				return func(m *Machine) uint64 { return kernel.Bool(ai(m) < bi(m)) }
+			case "<=":
+				return func(m *Machine) uint64 { return kernel.Bool(ai(m) <= bi(m)) }
+			case ">":
+				return func(m *Machine) uint64 { return kernel.Bool(ai(m) > bi(m)) }
+			default:
+				return func(m *Machine) uint64 { return kernel.Bool(ai(m) >= bi(m)) }
 			}
 		}
 		// Unsigned compares are payload compares at the operands' own
 		// widths (CmpU does not widen).
-		return func(m *Machine) uint64 {
-			a, b := lf(m), rf(m)
-			var ok bool
-			switch op {
-			case "<":
-				ok = a < b
-			case "<=":
-				ok = a <= b
-			case ">":
-				ok = a > b
-			default:
-				ok = a >= b
-			}
-			if ok {
-				return 1
-			}
-			return 0
+		switch e.op {
+		case "<":
+			return func(m *Machine) uint64 { return kernel.Bool(lf(m) < rf(m)) }
+		case "<=":
+			return func(m *Machine) uint64 { return kernel.Bool(lf(m) <= rf(m)) }
+		case ">":
+			return func(m *Machine) uint64 { return kernel.Bool(lf(m) > rf(m)) }
+		default:
+			return func(m *Machine) uint64 { return kernel.Bool(lf(m) >= rf(m)) }
 		}
 	case "<<":
 		lw := l.w
-		mk := maskN(lw)
-		return func(m *Machine) uint64 {
-			n := uint(rf(m) & 63)
-			if n >= uint(lw) {
-				return 0
-			}
-			return (lf(m) << n) & mk
-		}
+		return func(m *Machine) uint64 { return kernel.Shl(lf(m), rf(m)&63, lw) }
 	case ">>":
 		lw := l.w
 		if l.signed {
-			mk := maskN(lw)
-			return func(m *Machine) uint64 {
-				n := uint(rf(m) & 63)
-				if n >= uint(lw) {
-					n = uint(lw) - 1
-				}
-				return uint64(int64(sx64(lf(m), lw))>>n) & mk
-			}
+			return func(m *Machine) uint64 { return kernel.ShrS(lf(m), rf(m)&63, lw) }
 		}
-		return func(m *Machine) uint64 {
-			n := uint(rf(m) & 63)
-			if n >= uint(lw) {
-				return 0
-			}
-			return lf(m) >> n
-		}
+		return func(m *Machine) uint64 { return kernel.ShrU(lf(m), rf(m)&63, lw) }
 	case "&&":
-		return func(m *Machine) uint64 {
-			if lf(m) != 0 && rf(m) != 0 {
-				return 1
-			}
-			return 0
-		}
+		return func(m *Machine) uint64 { return kernel.Bool(lf(m) != 0 && rf(m) != 0) }
 	case "||":
-		return func(m *Machine) uint64 {
-			if lf(m) != 0 || rf(m) != 0 {
-				return 1
-			}
-			return 0
-		}
+		return func(m *Machine) uint64 { return kernel.Bool(lf(m) != 0 || rf(m) != 0) }
 	}
 	panic("gosim: unknown binary operator " + e.op)
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"golisa/internal/ast"
+	"golisa/internal/behavior"
 	"golisa/internal/bitvec"
+	"golisa/internal/bitvec/kernel"
 	"golisa/internal/model"
 )
 
@@ -12,10 +14,12 @@ import (
 // behavior AST of one bound instance. Every expression carries a static
 // width (1..64) and signedness, computed by the exact widening rules of
 // internal/behavior (see expr.go binop/unop/convert); payloads are
-// always zero-extended uint64s, mirroring bitvec.Value. Both backends —
-// the threaded-code closure interpreter (interp.go) and the Go source
-// emitter (emit.go) — walk this one tree, so they cannot disagree with
-// each other; tests pin them against the behavior engines.
+// always zero-extended uint64s, like bitvec.Value's. Both backends — the
+// threaded-code closure interpreter (interp.go) and the Go source emitter
+// (emit.go) — walk this one tree and evaluate every operator through the
+// one semantic kernel (internal/bitvec/kernel) that bitvec.Value also
+// wraps, so the four engines share one definition of the arithmetic;
+// tests pin the backends against the behavior engines.
 
 type ekind int
 
@@ -337,7 +341,7 @@ func (f *fctx) compileCallStmt(c *ast.CallExpr, out *[]*stmt) error {
 		*out = append(*out, node)
 		return nil
 	}
-	if isBuiltin(c.Name) {
+	if behavior.IsBuiltin(c.Name) {
 		// A builtin in statement position has no effect; compile the
 		// arguments for validation and drop the value.
 		_, err := f.compileExpr(c)
@@ -693,15 +697,6 @@ func (f *fctx) compileIndexExpr(ex *ast.IndexExpr) (*expr, error) {
 	return &expr{kind: eElem, res: lv.res, idx: lv.idx, w: lv.res.Width, signed: lv.res.Signed}, nil
 }
 
-func isBuiltin(name string) bool {
-	switch name {
-	case "abs", "min", "max", "saturate", "sign_extend", "zero_extend",
-		"addsat", "subsat", "bits", "print", "wait_states":
-		return true
-	}
-	return false
-}
-
 func (f *fctx) compileCallExpr(c *ast.CallExpr) (*expr, error) {
 	need := func(n int) error {
 		if len(c.Args) != n {
@@ -842,7 +837,7 @@ func (f *fctx) constIntArg(e ast.Expr) (int64, error) {
 	if x.kind != eConst {
 		return 0, unsup("argument must be a constant")
 	}
-	return int64(sx64(x.k, x.w)), nil
+	return int64(kernel.SignExt(x.k, x.w)), nil
 }
 
 // constSlice folds a hi/lo bit-range pair, normalizing hi >= lo exactly

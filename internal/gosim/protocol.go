@@ -14,7 +14,7 @@ import (
 // by a golisa with different emitted semantics or a different protocol is
 // never reused. Bump it whenever EmitSource's output changes;
 // TestRunnerSourcePinned fails until it is.
-const runnerVersion = 2
+const runnerVersion = 3
 
 // The runner protocol is NDJSON, one object per line. A resident runner
 // writes its header once at start-up:

@@ -3,6 +3,7 @@ package gosim
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -82,7 +83,7 @@ func checkShape(t *testing.T, sc []uint64, arr [][]uint64) {
 // input must come back as an error — never a panic, never state that
 // disagrees with the shape, and never a line buffer past the cap.
 func FuzzRunnerProtocol(f *testing.F) {
-	f.Add([]byte(`{"t":"h","v":2,"model":"m","prog":"p"}` + "\n" +
+	f.Add([]byte(fmt.Sprintf(`{"t":"h","v":%d,"model":"m","prog":"p"}`, runnerVersion) + "\n" +
 		`{"t":"p","s":"hi"}` + "\n" +
 		`{"t":"r","steps":3,"halted":true,"wall_ns":10,"sc":[3,0,1,9],"arr":[[0],[4],[8,2,2,5,6]],"penalty":{}}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {

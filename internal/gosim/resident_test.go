@@ -8,9 +8,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"golisa/internal/bitvec/kernel"
 )
 
 // progBadWord steers simple16 into an undecodable word (opcode 0b100001
@@ -67,11 +70,11 @@ func onProc(pr *proc, max uint64, trace bool) runOut {
 
 func onIR(p *Program, max uint64, trace bool) runOut {
 	var o runOut
-	opt := Options{Backend: ForceIR}
+	var opt Options
 	if trace {
 		opt.OnCycleState = collector(&o.snaps)
 	}
-	res, err := NewEngine(p, nil, opt).Run(max)
+	res, err := NewEngine(p, nil, opt).runIR(max)
 	o.res = res
 	if err != nil {
 		o.err = "gosim: runner: " + err.Error()
@@ -136,11 +139,11 @@ func TestEngineKeepsRunnerResident(t *testing.T) {
 	_, _, p := loadPair(t, "simple16", "", progOps)
 	for i := 0; i < 4; i++ {
 		var snaps []snap
-		opt := Options{Backend: ForceNative}
+		var opt Options
 		if i%2 == 1 {
 			opt.OnCycleState = collector(&snaps)
 		}
-		res, err := NewEngine(p, cache, opt).Run(10_000)
+		res, err := NewEngine(p, cache, opt).runNative(10_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +157,7 @@ func TestEngineKeepsRunnerResident(t *testing.T) {
 
 	_, _, bad := loadPair(t, "simple16", "", progBadWord)
 	for i := 0; i < 2; i++ {
-		res, err := NewEngine(bad, cache, Options{Backend: ForceNative}).Run(100)
+		res, err := NewEngine(bad, cache, Options{}).runNative(100)
 		if err == nil || res == nil || !res.Native {
 			t.Fatalf("bad-word run %d: res %+v, err %v; want a native runtime error", i, res, err)
 		}
@@ -186,7 +189,7 @@ func TestCacheCloseReapsRunners(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < runs; i++ {
-				res, err := NewEngine(p, cache, Options{Backend: ForceNative}).Run(10_000)
+				res, err := NewEngine(p, cache, Options{}).runNative(10_000)
 				if err == nil && !res.Halted {
 					err = fmt.Errorf("run did not halt")
 				}
@@ -207,7 +210,7 @@ func TestCacheCloseReapsRunners(t *testing.T) {
 	if err := cache.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewEngine(p, cache, Options{Backend: ForceNative}).Run(10_000); err != nil {
+	if _, err := NewEngine(p, cache, Options{}).runNative(10_000); err != nil {
 		t.Fatal(err)
 	}
 	if s, r := cache.Starts(), cache.reaped.Load(); s != r {
@@ -225,7 +228,7 @@ func TestStaleRunnerNotReused(t *testing.T) {
 		t.Skip("the stub runner is a shell script")
 	}
 	_, _, p := loadPair(t, "simple16", "", progOps)
-	want, err := NewEngine(p, nil, Options{Backend: ForceIR}).Run(10_000)
+	want, err := NewEngine(p, nil, Options{}).runIR(10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,6 +290,7 @@ func TestPrebuiltRunnerWithoutToolchain(t *testing.T) {
 // source emitted for progOps on simple16.
 var runnerSourcePins = map[int]string{
 	2: "0a63ae8e557007c368005398a2dc20d9d77df2e29945464d191c0056a9fa06a1",
+	3: "1a95fe2ede894cc36700b093ca1ffdff2a68498134f9809e6bf3778fa6f6b090",
 }
 
 // TestRunnerSourcePinned fails on any change to the emitted runner until
@@ -305,6 +309,25 @@ func TestRunnerSourcePinned(t *testing.T) {
 	}
 }
 
+// TestRunnerEmbedsKernel pins that a runner executes the shared semantic
+// kernel itself: the emitted source holds kernel.go after its package
+// clause byte for byte. Since the kernel is part of the pinned source, a
+// kernel edit also fails TestRunnerSourcePinned until runnerVersion moves.
+func TestRunnerEmbedsKernel(t *testing.T) {
+	_, _, p := loadPair(t, "opstest", opsModel, opsProg)
+	src, err := p.EmitSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, body, ok := strings.Cut(kernel.Source, "\npackage kernel\n")
+	if !ok || !strings.Contains(body, "func ShrS(") {
+		t.Fatalf("kernel source has no package clause or no ShrS:\n%s", kernel.Source)
+	}
+	if !strings.Contains(string(src), body) {
+		t.Fatal("emitted runner does not contain the kernel source verbatim")
+	}
+}
+
 // BenchmarkNativeRunResident times Engine.Run on a warm resident runner
 // and reports the part of it outside the runner's own step loop: request,
 // reset, result encoding and decoding.
@@ -315,15 +338,15 @@ func BenchmarkNativeRunResident(b *testing.B) {
 	_, _, p := loadPair(b, "simple16", "", progOps)
 	cache := NewCache(b.TempDir())
 	defer cache.Close()
-	eng := NewEngine(p, cache, Options{Backend: ForceNative})
-	if _, err := eng.Run(10_000); err != nil {
+	eng := NewEngine(p, cache, Options{})
+	if _, err := eng.runNative(10_000); err != nil {
 		b.Fatal(err)
 	}
 	var loop int64
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		res, err := eng.Run(10_000)
+		res, err := eng.runNative(10_000)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -57,6 +57,18 @@ func (m *Model) AssignSlots() {
 	}
 }
 
+// MaxStateElems is the most memory elements a model may declare, summed
+// over all its memories and banks; sema rejects a model above it. NewState
+// allocates every element eagerly for every simulator (16 bytes each, and
+// a batch runs one simulator per worker), and gosim's runners hold the
+// memories in static arrays, so without a bound one malformed declaration
+// such as [0x7FFFFFFFFF] exhausts host memory. The limit (64 MiB of
+// elements per State) admits the paper's Example 1 resource section
+// (about 1.1M elements) and leaves wide room above the stock models,
+// which declare at most 0x4000 elements per memory. It is also the most
+// words an assembled image may span when the model has no program memory.
+const MaxStateElems = 1 << 22
+
 // NewState allocates zeroed state for the model.
 func NewState(m *Model) *State {
 	s := &State{m: m}

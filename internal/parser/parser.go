@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"golisa/internal/ast"
+	"golisa/internal/bitvec"
 	"golisa/internal/lexer"
 )
 
@@ -467,13 +468,7 @@ func (p *Parser) parseCodingElem() ast.CodingElem {
 	switch t.Kind {
 	case lexer.BINPAT:
 		p.next()
-		bits := t.Text
-		if p.acceptPunct("[") {
-			n := p.expectNumber()
-			p.expectPunct("]")
-			bits = strings.Repeat(bits, int(n.Val))
-		}
-		return &ast.CodingPattern{Pos: t.Pos, Bits: bits}
+		return &ast.CodingPattern{Pos: t.Pos, Bits: p.repeatPattern(t.Text)}
 	case lexer.IDENT:
 		p.next()
 		if p.acceptPunct(":") {
@@ -482,19 +477,31 @@ func (p *Parser) parseCodingElem() ast.CodingElem {
 				p.fail(pt, "expected binary pattern after '%s:', found %s", t.Text, pt)
 			}
 			p.next()
-			bits := pt.Text
-			if p.acceptPunct("[") {
-				n := p.expectNumber()
-				p.expectPunct("]")
-				bits = strings.Repeat(bits, int(n.Val))
-			}
-			return &ast.CodingField{Pos: t.Pos, Label: t.Text, Bits: bits}
+			return &ast.CodingField{Pos: t.Pos, Label: t.Text, Bits: p.repeatPattern(pt.Text)}
 		}
 		return &ast.CodingRef{Pos: t.Pos, Name: t.Text}
 	default:
 		p.fail(t, "expected coding element, found %s", t)
 		return nil
 	}
+}
+
+// repeatPattern parses the optional repeat count [N] after the coding
+// pattern bits and expands it. The count must be positive and keep the
+// expanded pattern within bitvec.MaxWidth bits, the widest coding there
+// is; it is checked before the pattern is built, so a huge count is an
+// error and not an allocation.
+func (p *Parser) repeatPattern(bits string) string {
+	if !p.acceptPunct("[") {
+		return bits
+	}
+	n := p.expectNumber()
+	p.expectPunct("]")
+	if n.Val == 0 || n.Val > bitvec.MaxWidth || uint64(len(bits))*n.Val > bitvec.MaxWidth {
+		p.errorf(n, "coding pattern %s repeated %d times: the repeat must be positive and the pattern at most %d bits wide", bits, n.Val, bitvec.MaxWidth)
+		return bits
+	}
+	return strings.Repeat(bits, int(n.Val))
 }
 
 func (p *Parser) parseSyntaxSec() *ast.SyntaxSec {

@@ -521,6 +521,22 @@ func TestCodingPatternReplication(t *testing.T) {
 	}
 }
 
+// TestCodingRepeatBounded pins that a repeat count that is zero, does not
+// fit an int or widens the pattern past 64 bits is a parse error, raised
+// before the repeated pattern is built.
+func TestCodingRepeatBounded(t *testing.T) {
+	for _, rep := range []string{"0b0[4294967295]", "0b0[0]", "0b01[33]", "0bx[65]", "f:0b0[18446744073709551615]"} {
+		_, errs := Parse("OPERATION n { DECLARE { LABEL f; } CODING { "+rep+" } }", "t")
+		if len(errs) == 0 || !strings.Contains(errs[0].Error(), "at most 64 bits wide") {
+			t.Errorf("%s: errors %v, want a bounded-repeat error", rep, errs)
+		}
+	}
+	d := mustParse(t, "OPERATION n { CODING { 0b01[32] 0bx[64] } }")
+	if got := len(d.Operations[0].Sections[0].(*ast.CodingSec).Elems[0].(*ast.CodingPattern).Bits); got != 64 {
+		t.Errorf("0b01[32] expands to %d bits, want 64", got)
+	}
+}
+
 func TestEmptyDescription(t *testing.T) {
 	d := mustParse(t, "  // nothing\n")
 	if len(d.Operations)+len(d.Resources)+len(d.Pipelines) != 0 {

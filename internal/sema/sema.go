@@ -41,6 +41,7 @@ func (a *Analyzer) buildResources(d *ast.Description) {
 	// First pass: create all non-alias resources so aliases can resolve
 	// forward references.
 	var aliases []*ast.ResourceDecl
+	var elems uint64 // memory elements declared so far, at most model.MaxStateElems
 	for _, rd := range d.Resources {
 		if rd.IsAlias {
 			aliases = append(aliases, rd)
@@ -62,6 +63,18 @@ func (a *Analyzer) buildResources(d *ast.Description) {
 			r.Size = rd.RangeHi - rd.RangeLo + 1
 		default:
 			r.Size = rd.Size
+		}
+		if r.IsMemory() {
+			banks := uint64(1)
+			if r.Banks > 0 {
+				banks = uint64(r.Banks)
+			}
+			if r.Size > (model.MaxStateElems-elems)/banks {
+				a.errorf("%s: memory %s of %d×%d elements exceeds the limit of %d elements over all memories of a model",
+					rd.Pos, rd.Name, banks, r.Size, model.MaxStateElems)
+				continue
+			}
+			elems += r.Size * banks
 		}
 		if err := a.m.AddResource(r); err != nil {
 			a.errorf("%s: %v", rd.Pos, err)

@@ -238,6 +238,12 @@ func TestErrors(t *testing.T) {
 		{"alias range", `RESOURCE { REGISTER bit[8] a; REGISTER bit[4] x ALIAS a[11..8]; }`, "exceeds"},
 		{"unknown member", `OPERATION o { DECLARE { GROUP g = { nosuch }; } CODING { g } }`, "unknown operation"},
 		{"unknown pipeline", `OPERATION o IN nopipe.X { CODING { 0b0 } }`, "unknown pipeline"},
+		// Memories above model.MaxStateElems used to be allocated by
+		// model.NewState: per declaration, per bank and summed.
+		{"huge memory", `RESOURCE { DATA_MEMORY int m[0x7FFFFFFFFF]; }`, "exceeds the limit"},
+		{"huge banks", `RESOURCE { DATA_MEMORY int m[0x7fffffff]([0x7fffffff]); }`, "exceeds the limit"},
+		{"huge range", `RESOURCE { PROGRAM_MEMORY int m[0x100..0xffffffffff]; }`, "exceeds the limit"},
+		{"memories summed", `RESOURCE { DATA_MEMORY int a[0x300000]; DATA_MEMORY int b[0x300000]; }`, "memory b of 1×3145728 elements exceeds the limit"},
 		{"unknown stage", `RESOURCE { PIPELINE p = { A; B }; } OPERATION o IN p.C { CODING { 0b0 } }`, "unknown stage"},
 		{"undeclared label", `OPERATION o { CODING { f:0bx[4] } }`, "undeclared label"},
 		{"unknown coding ref", `OPERATION o { CODING { nosuch } }`, "unknown operation or group"},
