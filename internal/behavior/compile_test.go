@@ -1,6 +1,7 @@
 package behavior
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -12,7 +13,8 @@ import (
 )
 
 // runBoth executes the same operation through the interpreter and the
-// pre-binding compiler on separate states and compares every resource.
+// compiled engine (the typed IR run as threaded code) on separate states
+// and compares every resource.
 func runBoth(t *testing.T, src, opName string) {
 	t.Helper()
 	d, perrs := parser.Parse(src, "compile_test.lisa")
@@ -320,5 +322,49 @@ func TestCompiledMatchesInterpreterSignedness(t *testing.T) {
 		t.Run(fmt.Sprintf("adv%d", i), func(t *testing.T) {
 			runBoth(t, compileRegs+"\nOPERATION op { BEHAVIOR { "+body+" } }", "op")
 		})
+	}
+}
+
+// runTimeTypedBodies lean on values whose type depends on run-time data —
+// ?: and min/max over operands of different widths or signedness — and
+// on the lvalue shapes only the compiled engine's IR composes: bit ranges
+// and bit selects of memory elements, locals and registers.
+var runTimeTypedBodies = []string{
+	`r0 = 0 - 1; small = 0x80; r1 = (r0 > 0 ? small : r0) + 1; r2 = -(r0 ? small : wide); r3 = (r0 ? small : r0) >> 4;`,
+	`r0 = 0 - 1; small = 0x80; int x = r0 < 0 ? small : r0; r1 = x; bit[4] n = r0 ? wide : small; r2 = n;`,
+	`small = 0x80; r0 = 0 - 1; r1 = min(small, r0) >> 1; r2 = max(small, wide) * 2; long q = min(small, r0); r3 = q < 0;`,
+	`small = 0x80; wide = 5; r0 = min(max(small, wide), 0 - 3) + abs(wide ? small : r1); r1 = addsat(small ? r0 : small, 0x7fffffff);`,
+	`r0 = 0 - 5; print("values", r0 ? small : r0, min(small, r0), 7);`,
+	`r0 = 12; r1 = r0[2]; r0[0] = 1; r2 = r0; r0[40] = 1; r3 = r0[0 - 1];`,
+	`wide = 0xff00ff00ff; r0 = bits(wide, 39, 32); wide[3..0] = 0xa; mem[3] = 7; mem[3][1..0] = 2; r1 = mem[3]; mem[40] = 1; r2 = mem[40];`,
+	`int i = 0x1234; i[15..8] = 0xff; r0 = i; int j = 3; r1 = r0[j]; r0[j] = 0; r2 = r0;`,
+	`r0 = 0xabcd; int hi = 11; int lo = 4; r1 = r0[hi..lo]; r0[hi..lo] = 0; r2 = r0;`,
+}
+
+// TestCompiledMatchesInterpreterRunTimeTypes runs runTimeTypedBodies on
+// both behavior engines.
+func TestCompiledMatchesInterpreterRunTimeTypes(t *testing.T) {
+	for i, body := range runTimeTypedBodies {
+		t.Run(fmt.Sprintf("rt%d", i), func(t *testing.T) {
+			runBoth(t, compileRegs+"\nOPERATION op { BEHAVIOR { "+body+" } }", "op")
+		})
+	}
+}
+
+// TestLoweringRefusesRunTimeWidths pins the one class the IR leaves to the
+// interpreter: a bit range whose bounds are run-time values has a
+// run-time width, so lowering fails with ErrNotLowered (and RunCompiled,
+// checked above, interprets the behavior instead).
+func TestLoweringRefusesRunTimeWidths(t *testing.T) {
+	d, perrs := parser.Parse(compileRegs+"OPERATION op { BEHAVIOR { int hi = 7; r1 = r0[hi..0]; } }", "t")
+	if len(perrs) > 0 {
+		t.Fatal(perrs[0])
+	}
+	m, errs := sema.Build("t", d)
+	if len(errs) > 0 {
+		t.Fatal(errs[0])
+	}
+	if _, _, err := (&Lowering{M: m}).Body(model.NewInstance(m.Ops["op"])); !errors.Is(err, ErrNotLowered) {
+		t.Fatalf("lowering a run-time bit range: %v, want ErrNotLowered", err)
 	}
 }

@@ -1,7 +1,6 @@
 package behavior_test
 
 import (
-	"errors"
 	"fmt"
 	"os/exec"
 	"strings"
@@ -9,23 +8,17 @@ import (
 
 	"golisa/internal/behavior"
 	"golisa/internal/core"
+	"golisa/internal/cosim"
 	"golisa/internal/gosim"
 	"golisa/internal/model"
 	"golisa/internal/sim"
 )
 
-// gosimUnsupported lists the signedness bodies outside gosim's supported
-// class, with the reason. Programs reaching them fail gosim.Compile and
-// run on the behavior engines instead.
-var gosimUnsupported = map[int]string{
-	12: "min/max over operands of different width or signedness, whose result width depends on the values",
-}
-
 // signednessMachine wraps each signedness body in its own instruction of
 // an unpipelined fetch/decode machine over compileRegs, and returns the
-// machine plus a program that executes the bodies gosim supports once, in
-// table order, and halts.
-func signednessMachine(t *testing.T) (mc *core.Machine, prog string, bodies []int) {
+// machine plus a program that executes every body once, in table order,
+// and halts.
+func signednessMachine(t *testing.T) (mc *core.Machine, prog string) {
 	t.Helper()
 	var src, group, text strings.Builder
 	src.WriteString(behavior.CompileRegs)
@@ -44,10 +37,7 @@ OPERATION i_halt { CODING { 0b11111111 0bx[8] } SYNTAX { "HALT" } BEHAVIOR { hal
 	for i, body := range behavior.SignednessBodies {
 		fmt.Fprintf(&src, "OPERATION b%d { CODING { 0b%08b 0bx[8] } SYNTAX { \"B%d\" } BEHAVIOR { %s } }\n", i, i, i, body)
 		fmt.Fprintf(&group, "b%d; ", i)
-		if _, skip := gosimUnsupported[i]; !skip {
-			fmt.Fprintf(&text, "B%d\n", i)
-			bodies = append(bodies, i)
-		}
+		fmt.Fprintf(&text, "B%d\n", i)
 	}
 	fmt.Fprintf(&src, "OPERATION decode { DECLARE { GROUP Instruction = { %si_halt }; } CODING { ir == Instruction } ACTIVATION { Instruction } }\n", group.String())
 	text.WriteString("HALT\n")
@@ -55,29 +45,15 @@ OPERATION i_halt { CODING { 0b11111111 0bx[8] } SYNTAX { "HALT" } BEHAVIOR { hal
 	if err != nil {
 		t.Fatal(err)
 	}
-	return mc, text.String(), bodies
+	return mc, text.String()
 }
 
 // TestSignednessBodiesOnGosim runs the signedness table through gosim:
 // its IR machine in lockstep with the interpretive simulator, and, when
 // the Go toolchain is on PATH, the built native runner, whose per-cycle
-// states must equal the IR machine's. The bodies in gosimUnsupported must
-// still be refused by gosim.Compile.
+// states must equal the IR machine's.
 func TestSignednessBodiesOnGosim(t *testing.T) {
-	mc, src, bodies := signednessMachine(t)
-	for i := range gosimUnsupported {
-		a, err := mc.NewAssembler()
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := a.Assemble(fmt.Sprintf("B%d\nHALT\n", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := gosim.Compile(mc, prog); !errors.Is(err, gosim.ErrUnsupported) {
-			t.Errorf("body %d compiles on gosim now (err %v): move it back into the lockstep program", i, err)
-		}
-	}
+	mc, src := signednessMachine(t)
 	ref, prog, err := mc.AssembleAndLoad(src, sim.Interpretive)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +65,7 @@ func TestSignednessBodiesOnGosim(t *testing.T) {
 	m := p.NewMachine()
 	var irStates []*model.State
 	for !ref.Halted() {
-		if m.Cycles() > uint64(len(bodies)) {
+		if m.Cycles() > uint64(len(behavior.SignednessBodies)) {
 			t.Fatal("the interpretive engine runs past the program's halt")
 		}
 		if err := ref.RunStep(); err != nil {
@@ -103,8 +79,8 @@ func TestSignednessBodiesOnGosim(t *testing.T) {
 		if eq, diff := ref.S.Equal(st); !eq {
 			// Instruction k retires in control step k+1.
 			what := "the halt"
-			if k := int(m.Cycles()) - 1; k < len(bodies) {
-				what = fmt.Sprintf("%q", behavior.SignednessBodies[bodies[k]])
+			if k := int(m.Cycles()) - 1; k < len(behavior.SignednessBodies) {
+				what = fmt.Sprintf("%q", behavior.SignednessBodies[k])
 			}
 			t.Fatalf("IR diverges from the interpretive engine at %s after %s", diff, what)
 		}
@@ -140,5 +116,36 @@ func TestSignednessBodiesOnGosim(t *testing.T) {
 	}
 	if n != len(irStates) || !res.Halted {
 		t.Fatalf("native run: %d cycles, halted %v; IR: %d cycles, halted", n, res.Halted, len(irStates))
+	}
+}
+
+// TestSignednessBodiesOnCompiledSim runs the signedness table on sim's
+// compiled engine in lockstep with the interpretive engine: the state
+// must agree after every control step, and so must the halt.
+func TestSignednessBodiesOnCompiledSim(t *testing.T) {
+	mc, src := signednessMachine(t)
+	ref, _, err := mc.AssembleAndLoad(src, sim.Interpretive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, _, err := mc.AssembleAndLoad(src, sim.Compiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls := cosim.NewLockstep(cs, ref)
+	for step := uint64(0); !ref.Halted(); step++ {
+		if step > uint64(len(behavior.SignednessBodies)) {
+			t.Fatal("the interpretive engine runs past the program's halt")
+		}
+		if err := cs.RunStep(); err != nil {
+			t.Fatal(err)
+		}
+		ls.Tick(step)
+		if ls.Diverged {
+			t.Fatalf("compiled engine diverges at step %d: %s", ls.Cycle, ls.Detail)
+		}
+	}
+	if !cs.Halted() {
+		t.Fatal("compiled engine did not halt with the interpretive engine")
 	}
 }

@@ -1,7 +1,10 @@
 // Package behavior executes the C-subset behavior language of LISA
-// operations: an AST-walking interpreter (the interpretive simulator's
-// engine) and a pre-binding closure compiler (the compiled simulator's
-// engine, see compile.go).
+// operations. It holds the AST-walking interpreter, the interpretive
+// simulator's engine and the reference every other engine is checked
+// against, and the one typed lowering of behaviors (ir.go): an IR over
+// static widths that the threaded-code backend (threaded.go) runs as the
+// compiled simulator's engine (compiled.go) and gosim's in-process
+// machine, and that gosim's emitter renders as Go source.
 //
 // Execution happens in the context of a bound model.Instance: identifiers
 // resolve, in order, to local variables, decoded label fields, group/
@@ -60,23 +63,29 @@ type Exec struct {
 	// (OnBehavior) for cycle attribution. Nil costs one comparison per Run.
 	Obs trace.Observer
 
-	// Shared, when non-nil, is a read-only set of behavior closures
-	// pre-compiled at artifact build time (see sim.Artifact). Lookups
-	// consult it before the per-engine lazy caches; the lazy caches only
-	// ever hold entries the shared set lacks, so engines sharing one set
-	// never write to shared memory.
+	// Shared, when non-nil, is a read-only set of behaviors compiled at
+	// artifact build time (see sim.Artifact). Lookups consult it before
+	// the per-engine lazy caches; the lazy caches only ever hold entries
+	// the shared set lacks, so engines sharing one set never write to
+	// shared memory.
 	Shared *CompiledSet
 
-	// Compiles counts closures compiled by this engine at run time.
-	// Pre-compiled shared closures do not count; a fully pre-warmed
-	// artifact therefore keeps this at zero across a whole run, which the
-	// fleet's zero-recompilation assertion checks.
+	// Compiles counts behaviors and activation expressions compiled by
+	// this engine at run time. Pre-compiled shared entries do not count;
+	// a fully pre-warmed artifact therefore keeps this at zero across a
+	// whole run, which the fleet's zero-recompilation assertion checks.
 	Compiles uint64
 
 	steps    int
 	stmts    uint64 // monotonically increasing statement counter (tracing)
-	compiled map[*model.Instance]*compiledBehavior
-	conds    map[condKey]cexpr
+	compiled map[*model.Instance]*compiledBody
+	conds    map[condKey]*compiledExpr
+
+	// Compiled code state: the running body's locals, the stack their
+	// frames live on, and the error of the current compiled run.
+	loc    []uint64
+	frames []uint64
+	err    error
 
 	// guards is the stack of condition expressions enclosing the statement
 	// currently executing (if conditions, switch tags), maintained only

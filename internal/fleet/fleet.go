@@ -2,7 +2,7 @@
 // shared compiled-model artifact. The paper's compiled-simulation
 // principle — decode and bind once, re-execute many times — is applied
 // across runs instead of within one: the model is parsed, analyzed,
-// decoded and (outside interpretive mode) compiled to closures exactly once
+// decoded and (outside interpretive mode) compiled to threaded code exactly once
 // (sim.Artifact), and every job gets only the cheap per-run state. M jobs
 // on N worker goroutines therefore pay the model-compilation cost once,
 // which the Summary's counters prove (JobDecodes and JobCompiles stay

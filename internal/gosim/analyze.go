@@ -6,6 +6,7 @@ import (
 
 	"golisa/internal/asm"
 	"golisa/internal/ast"
+	"golisa/internal/behavior"
 	"golisa/internal/bitvec"
 	"golisa/internal/bitvec/kernel"
 	"golisa/internal/coding"
@@ -35,8 +36,8 @@ type Program struct {
 	rootRes *model.Resource
 	dispW   int // dispatch key width: min(root resource width, word width)
 
-	resetB []*stmt
-	mainB  []*stmt
+	resetB []*behavior.Stmt
+	mainB  []*behavior.Stmt
 	items  []mainItem
 	shift  bool // main activation carries the pipeline shift
 
@@ -59,9 +60,9 @@ type Program struct {
 // guard condition plus the target's behavior, scheduled either this cycle
 // (stage <= 0) or `stage` cycles ahead on the ring.
 type mainItem struct {
-	cond   *expr
+	cond   *behavior.Expr
 	stage  int
-	body   []*stmt
+	body   []*behavior.Stmt
 	opName string
 }
 
@@ -79,7 +80,7 @@ type wordHandler struct {
 
 type target struct {
 	stage  int // <= 0 runs this cycle; > 0 runs `stage` cycles ahead
-	body   []*stmt
+	body   []*behavior.Stmt
 	opName string
 }
 
@@ -148,13 +149,13 @@ func Compile(mc *core.Machine, prog *asm.Program) (*Program, error) {
 
 	// Mask the image to the word width once; handler keys mask further to
 	// the dispatch register's width, exactly like coding.DecodeRoot.
-	wordW := clampW(prog.Width)
+	wordW := min(max(prog.Width, 1), 64)
 	p.Words = make([]uint64, len(prog.Words))
 	for i, w := range prog.Words {
 		p.Words[i] = w & kernel.Mask(wordW)
 	}
 
-	b := &build{m: m, progMem: p.progMem}
+	b := &build{m: m, progMem: p.progMem, low: &behavior.Lowering{M: m, Inline: true}}
 
 	if op, ok := m.Ops["reset"]; ok {
 		in := model.NewInstance(op)
@@ -226,28 +227,20 @@ func Compile(mc *core.Machine, prog *asm.Program) (*Program, error) {
 	}
 
 	p.root = b.root
-	p.nLoc = b.maxLoc
+	p.nLoc = b.low.MaxLocals
 	return p, nil
 }
 
-// compileHandler compiles one instance's behavior into IR statements.
-func compileHandler(b *build, in *model.Instance, canDispatch bool) ([]*stmt, error) {
-	if in.Variant == nil {
-		if err := in.ResolveVariant(); err != nil {
-			return nil, unsup("%s: %v", in.Op.Name, err)
-		}
+// compileHandler lowers one instance's behavior into IR statements and
+// checks that the emitter can render them.
+func compileHandler(b *build, in *model.Instance, canDispatch bool) ([]*behavior.Stmt, error) {
+	out, _, err := b.low.Body(in)
+	if err != nil {
+		err = unsup("%v", err)
+	} else {
+		err = b.check(out, canDispatch)
 	}
-	if in.Variant.Behavior == nil {
-		return nil, nil
-	}
-	nloc := 0
-	f := &fctx{
-		b: b, inst: in, nloc: &nloc,
-		canDispatch: canDispatch,
-		stack:       []*model.Operation{in.Op},
-	}
-	var out []*stmt
-	if err := f.compileBlock(in.Variant.Behavior.Body, &out); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("%s: %w", in.Op.Name, err)
 	}
 	return out, nil
@@ -256,7 +249,7 @@ func compileHandler(b *build, in *model.Instance, canDispatch bool) ([]*stmt, er
 // mainActivation walks the main operation's ACTIVATION items, compiling
 // each ActRef target under the conjunction of the enclosing ActIf
 // conditions, and recording the unconditional whole-pipeline shift.
-func (p *Program) mainActivation(b *build, main *model.Instance, items []ast.ActItem, cond *expr) error {
+func (p *Program) mainActivation(b *build, main *model.Instance, items []ast.ActItem, cond *behavior.Expr) error {
 	for _, item := range items {
 		switch it := item.(type) {
 		case *ast.ActRef:
@@ -309,7 +302,7 @@ func (p *Program) mainActivation(b *build, main *model.Instance, items []ast.Act
 				return err
 			}
 			if len(it.Else) > 0 {
-				not := &expr{kind: eUn, op: "!", a: c, w: 1}
+				not := &behavior.Expr{Kind: behavior.EUn, Op: "!", A: c, W: 1}
 				if err := p.mainActivation(b, main, it.Else, conj(cond, not)); err != nil {
 					return err
 				}
@@ -321,20 +314,21 @@ func (p *Program) mainActivation(b *build, main *model.Instance, items []ast.Act
 	return nil
 }
 
-func conj(a, b *expr) *expr {
+func conj(a, b *behavior.Expr) *behavior.Expr {
 	if a == nil {
 		return b
 	}
-	return &expr{kind: eBin, op: "&&", a: a, b: b, w: 1}
+	return &behavior.Expr{Kind: behavior.EBin, Op: "&&", A: a, B: b, W: 1}
 }
 
 // compileActCond compiles an ACTIVATION guard expression in the
 // activating instance's context.
-func (p *Program) compileActCond(b *build, in *model.Instance, e ast.Expr) (*expr, error) {
-	nloc := 0
-	f := &fctx{b: b, inst: in, nloc: &nloc}
-	f.push()
-	return f.compileExpr(e)
+func (p *Program) compileActCond(b *build, in *model.Instance, e ast.Expr) (*behavior.Expr, error) {
+	x, err := b.low.Expr(in, e)
+	if err != nil {
+		return nil, unsup("%v", err)
+	}
+	return x, checkExpr(x)
 }
 
 // targetStage maps an activation target onto the schedule: -1 for
@@ -478,27 +472,149 @@ func (p *Program) checkDispatchSafety(b *build) error {
 	// keys to dispW.
 	rr := p.rootRes
 	for _, w := range b.writes {
-		switch w.lv.kind {
-		case lLocal:
-			continue
-		case lElem:
-			if w.lv.res == p.progMem {
-				return unsup("behavior writes program memory %s", w.lv.res.Name)
+		switch lv := w.LHS; lv.Kind {
+		case behavior.LElem:
+			if lv.Res == p.progMem {
+				return unsup("behavior writes program memory %s", lv.Res.Name)
 			}
-		case lSlice:
-			if w.lv.res == rr {
+		case behavior.LSlice:
+			if lv.Base.Res == rr {
 				return unsup("partial write to dispatch register %s", rr.Name)
 			}
-			if w.lv.res == p.progMem {
-				return unsup("behavior writes program memory %s", w.lv.res.Name)
-			}
-		case lScalar:
-			if w.lv.res != rr {
+		case behavior.LScalar:
+			if lv.Res != rr {
 				continue
 			}
-			if w.rhs == nil || w.rhs.kind != eElem || w.rhs.res != p.progMem {
+			if w.RHS.Kind != behavior.EElem || w.RHS.Res != p.progMem {
 				return unsup("dispatch register %s written from a non-program-memory value", rr.Name)
 			}
+		}
+	}
+	return nil
+}
+
+// build is the per-Compile shared state: the model, the program memory,
+// the whole-program lowering, the dispatchable coding root, and the
+// assignments collected for the dispatch-safety analysis.
+type build struct {
+	m       *model.Model
+	progMem *model.Resource
+	low     *behavior.Lowering
+	root    *model.Operation
+	writes  []*behavior.Stmt
+
+	// dispatchSites counts coding-root calls. The schedule ring
+	// reproduces the pipeline's packet ordering exactly only when at most
+	// one packet per cycle receives staged work, so more than one
+	// dispatch site falls back to the interpretive engine.
+	dispatchSites int
+}
+
+func unsup(format string, args ...interface{}) error {
+	return fmt.Errorf("%w: %s", ErrUnsupported, fmt.Sprintf(format, args...))
+}
+
+// check admits a lowered handler into the static-schedule class: only
+// statements and operands the emitter renders, and coding-root calls only
+// where the ring can schedule them. Everything else the lowering
+// expresses — loops, switches, early exits, pipeline operations, banked
+// and bit-select accesses, latched memories — is refused here and never
+// reaches the emitter.
+func (b *build) check(list []*behavior.Stmt, canDispatch bool) error {
+	for _, s := range list {
+		switch s.Kind {
+		case behavior.SAssign:
+			if err := checkLval(s.LHS); err != nil {
+				return err
+			}
+			if err := checkExpr(s.RHS); err != nil {
+				return err
+			}
+			b.writes = append(b.writes, s)
+		case behavior.SIf:
+			if err := checkExpr(s.Cond); err != nil {
+				return err
+			}
+			if err := b.check(s.Then, canDispatch); err != nil {
+				return err
+			}
+			if err := b.check(s.Else, canDispatch); err != nil {
+				return err
+			}
+		case behavior.SPrint:
+			for _, pp := range s.Parts {
+				if !pp.IsStr {
+					if err := checkExpr(pp.X); err != nil {
+						return err
+					}
+				}
+			}
+		case behavior.SCall:
+			if err := b.dispatch(s, canDispatch); err != nil {
+				return err
+			}
+		default:
+			return unsup("%s statement", s.Kind)
+		}
+	}
+	return nil
+}
+
+// dispatch admits a coding-root call as the program's dispatch point.
+func (b *build) dispatch(s *behavior.Stmt, canDispatch bool) error {
+	op := s.Op
+	if op == nil || !op.IsCodingRoot {
+		return unsup("call through the execution context")
+	}
+	if b.root == nil {
+		b.root = op
+	}
+	if op != b.root {
+		return unsup("dispatch of a second coding root %s (plan targets %s)", op.Name, b.root.Name)
+	}
+	if !canDispatch {
+		return unsup("dispatch from a handler past pipeline stage 0")
+	}
+	b.dispatchSites++
+	if b.dispatchSites > 1 {
+		return unsup("more than one dispatch site")
+	}
+	return nil
+}
+
+func checkLval(lv *behavior.LVal) error {
+	switch lv.Kind {
+	case behavior.LLocal, behavior.LScalar:
+		return nil
+	case behavior.LElem:
+		if lv.Res.Latch {
+			return unsup("latched memory %s", lv.Res.Name)
+		}
+		return checkExpr(lv.Idx)
+	case behavior.LSlice:
+		if lv.Base.Kind != behavior.LScalar {
+			return unsup("bit-range assignment to a non-scalar lvalue")
+		}
+		return nil
+	}
+	return unsup("banked or bit-select assignment")
+}
+
+func checkExpr(e *behavior.Expr) error {
+	if e == nil {
+		return nil
+	}
+	switch e.Kind {
+	case behavior.EBank, behavior.EBit:
+		return unsup("banked or bit-select read")
+	case behavior.EElem:
+		if e.Res.Latch {
+			return unsup("latched memory %s", e.Res.Name)
+		}
+	}
+	for _, c := range []*behavior.Expr{e.A, e.B, e.C, e.Idx} {
+		if err := checkExpr(c); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -8,18 +8,20 @@
 // (protocol.go): a batch pays the build once per program and the process
 // start once per concurrent worker. This is the paper's compiled-
 // simulation principle taken to its conclusion: where sim's compiled mode
-// pre-binds closures inside the generic scheduler, gosim emits straight-
-// line host code the Go compiler optimizes per (model, program) pair.
+// runs each bound instance's threaded code inside the generic scheduler,
+// gosim emits straight-line host code the Go compiler optimizes per
+// (model, program) pair. Both start from the one typed lowering of
+// behaviors in internal/behavior; gosim lowers with calls inlined.
 //
 // When the toolchain is unavailable, or the program is too short to
-// amortize a build, the same IR runs on an in-process threaded-code
-// interpreter (interp.go) with identical semantics — the IR Machine is
+// amortize a build, the same IR runs in process as the threaded code sim
+// executes (interp.go), with identical semantics — the IR Machine is
 // also the reference the emitted runner is cross-checked against.
 //
 // Models outside the statically schedulable class (multiple pipelines,
-// data-dependent delays, stalls/flushes, behavior constructs the IR
-// cannot express) fail Compile with an error wrapping ErrUnsupported;
-// callers fall back to the classic simulator.
+// data-dependent delays, stalls/flushes, loops and other statements the
+// emitter does not render) fail Compile with an error wrapping
+// ErrUnsupported; callers fall back to the classic simulator.
 package gosim
 
 import (

@@ -280,7 +280,7 @@ func assertState(t *testing.T, p *Program, sc []uint64, arr [][]uint64, ref *sim
 		if r == nil {
 			continue
 		}
-		if got, want := sc[i], ref.S.Scalars[i].Uint(); got != want {
+		if got, want := sc[i], ref.S.Scalars[i]; got != want {
 			t.Fatalf("cycle %d: scalar %s: generated %#x, interpretive %#x", cycle, r.Name, got, want)
 		}
 	}
@@ -289,7 +289,7 @@ func assertState(t *testing.T, p *Program, sc []uint64, arr [][]uint64, ref *sim
 			continue
 		}
 		for j := range arr[i] {
-			if got, want := arr[i][j], ref.S.Arrays[i][j].Uint(); got != want {
+			if got, want := arr[i][j], ref.S.Arrays[i][j]; got != want {
 				t.Fatalf("cycle %d: %s[%d]: generated %#x, interpretive %#x", cycle, r.Name, j, got, want)
 			}
 		}
@@ -567,5 +567,68 @@ func TestIRDispatchUnknownWord(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "0x84000000") && !strings.Contains(err.Error(), "does not decode") && !strings.Contains(err.Error(), "unknown word") {
 		t.Fatalf("unexpected dispatch error: %v", err)
+	}
+}
+
+// TestCompileRefusesWhatTheEmitterCannotRender pins the boundary between
+// the shared lowering and the emitter: the lowering expresses loops,
+// switches and pipeline operations (sim's compiled mode runs them), but
+// gosim.Compile must refuse each with ErrUnsupported, so no Program — and
+// therefore no emitted runner — exists for them.
+func TestCompileRefusesWhatTheEmitterCannotRender(t *testing.T) {
+	bodies := map[string]string{
+		"loop":               `int i; for (i = 0; i < 4; i++) { r0 = r0 + i; }`,
+		"switch":             `switch (r0) { case 1: r1 = 2; break; default: r1 = 3; }`,
+		"pipeline operation": `pipe.EX.stall();`,
+	}
+	for name, body := range bodies {
+		t.Run(name, func(t *testing.T) {
+			src := `
+RESOURCE {
+  PROGRAM_COUNTER int pc;
+  CONTROL_REGISTER bit[16] ir;
+  REGISTER int r0;
+  REGISTER int r1;
+  REGISTER bit halt;
+  PROGRAM_MEMORY bit[16] prog_mem[0x100];
+  PIPELINE pipe = { FE; EX };
+}
+OPERATION reset { BEHAVIOR { pc = 0; halt = 0; } }
+OPERATION main { BEHAVIOR { } ACTIVATION { if (!halt) { fetch } } }
+OPERATION fetch { BEHAVIOR { ir = prog_mem[pc]; pc = pc + 1; decode(); } }
+OPERATION decode {
+  DECLARE { GROUP Instruction = { i_body; i_halt }; }
+  CODING { ir == Instruction }
+  ACTIVATION { Instruction }
+}
+OPERATION i_halt { CODING { 0b11111111 0bx[8] } SYNTAX { "HALT" } BEHAVIOR { halt = 1; } }
+OPERATION i_body { CODING { 0b00000001 0bx[8] } SYNTAX { "BODY" } BEHAVIOR { ` + body + ` } }
+`
+			mc, err := core.LoadMachine("refuse", src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := mc.NewAssembler()
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := a.Assemble("BODY\nHALT\n")
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := Compile(mc, prog)
+			if !errors.Is(err, ErrUnsupported) || p != nil || !strings.Contains(err.Error(), name+" statement") {
+				t.Fatalf("Compile = (%v, %v), want no program and ErrUnsupported naming the %s", p, err, name)
+			}
+			// The same behavior runs on sim's compiled engine, which
+			// executes the shared lowering.
+			s, _, err := mc.AssembleAndLoad("BODY\nHALT\n", sim.Compiled)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Run(100); err != nil || !s.Halted() {
+				t.Fatalf("compiled engine: halted %v, err %v", s.Halted(), err)
+			}
+		})
 	}
 }

@@ -2,61 +2,55 @@ package gosim
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
-	"golisa/internal/bitvec"
+	"golisa/internal/behavior"
 	"golisa/internal/bitvec/kernel"
 	"golisa/internal/model"
 )
 
-// The in-process backend compiles the IR into threaded code: one Go
-// closure per expression node and statement, specialized at compile time
-// on operator, width and signedness, so the per-cycle loop runs with no
-// AST walking, no map lookups and no bitvec boxing. Every operator whose
-// result depends on more than a mask calls the shared semantic kernel
-// (internal/bitvec/kernel), the same functions bitvec.Value and the
-// emitted runner execute. It is the fallback engine when the Go
-// toolchain is unavailable (or the program too short to amortize a
-// build), and the reference the emitted runner is cross-checked against
-// in tests.
+// The in-process backend runs the Program's IR as the threaded code of
+// internal/behavior — the very closures sim's compiled mode executes —
+// on a model.State, under a static schedule: the main behavior, the
+// activation items, and a ring of pre-decoded handlers. It is the
+// fallback engine when the Go toolchain is unavailable (or the program
+// too short to amortize a build), and the reference the emitted runner
+// is cross-checked against in tests.
 
-type efn func(*Machine) uint64
-type sfn func(*Machine)
+type handlerFn func(*behavior.Exec) error
 
-// runtimeProg is a Program's compiled closure backend, built once and
-// shared by every Machine (closures only touch state through the *Machine
-// argument).
+// runtimeProg is a Program's compiled threaded code, built once and
+// shared by every Machine (closures only touch state through the Exec
+// they run on).
 type runtimeProg struct {
-	resetFn sfn
-	mainFn  sfn
+	resetFn handlerFn
+	mainFn  handlerFn
 	items   []rtItem
 	disp    map[uint64][]rtTarget
 	dispErr map[uint64]string
 }
 
 type rtItem struct {
-	cond  efn
+	cond  func(*behavior.Exec) uint64
 	stage int
-	fn    sfn
+	fn    handlerFn
 }
 
 type rtTarget struct {
 	stage int
-	fn    sfn
+	fn    handlerFn
 }
 
 func (p *Program) runtime() *runtimeProg {
 	p.rtOnce.Do(func() {
 		rt := &runtimeProg{disp: map[uint64][]rtTarget{}, dispErr: map[uint64]string{}}
-		rt.resetFn = compileStmtsFn(p, p.resetB)
-		rt.mainFn = compileStmtsFn(p, p.mainB)
+		rt.resetFn = behavior.CompileStmts(p.resetB)
+		rt.mainFn = behavior.CompileStmts(p.mainB)
 		for _, it := range p.items {
-			var cf efn
+			var cf func(*behavior.Exec) uint64
 			if it.cond != nil {
-				cf = compileExprFn(it.cond)
+				cf = behavior.CompileExpr(it.cond)
 			}
-			rt.items = append(rt.items, rtItem{cond: cf, stage: it.stage, fn: compileStmtsFn(p, it.body)})
+			rt.items = append(rt.items, rtItem{cond: cf, stage: it.stage, fn: behavior.CompileStmts(it.body)})
 		}
 		for w, h := range p.handlers {
 			if h.errMsg != "" {
@@ -65,7 +59,7 @@ func (p *Program) runtime() *runtimeProg {
 			}
 			ts := make([]rtTarget, 0, len(h.targets))
 			for _, t := range h.targets {
-				ts = append(ts, rtTarget{stage: t.stage, fn: compileStmtsFn(p, t.body)})
+				ts = append(ts, rtTarget{stage: t.stage, fn: behavior.CompileStmts(t.body)})
 			}
 			rt.disp[w] = ts
 		}
@@ -74,18 +68,15 @@ func (p *Program) runtime() *runtimeProg {
 	return p.rt
 }
 
-// Machine is one in-process execution of a Program: flat uint64 state
-// indexed by the model's resource slots, a latch pending set, the shared
-// local pool, and the activation ring. Machines are single-goroutine;
+// Machine is one in-process execution of a Program: a model.State, the
+// behavior engine context the compiled handlers run on (locals, prints,
+// dispatch), and the activation ring. Machines are single-goroutine;
 // any number may run concurrently over one shared Program.
 type Machine struct {
 	p     *Program
-	sc    []uint64
-	arr   [][]uint64
-	pendV []uint64
-	pendS []bool
-	loc   []uint64
-	now   []sfn
+	s     *model.State
+	x     *behavior.Exec
+	now   []handlerFn
 	ring  [][]ringEnt
 	cycle uint64
 	err   error
@@ -99,17 +90,9 @@ type Machine struct {
 // NewMachine allocates a reset Machine with the program image loaded.
 func (p *Program) NewMachine() *Machine {
 	p.runtime()
-	m := &Machine{p: p}
-	m.sc = make([]uint64, len(p.scalars))
-	m.arr = make([][]uint64, len(p.arrays))
-	for i, r := range p.arrays {
-		if r != nil {
-			m.arr[i] = make([]uint64, r.Total())
-		}
-	}
-	m.pendV = make([]uint64, len(p.latches))
-	m.pendS = make([]bool, len(p.latches))
-	m.loc = make([]uint64, p.nLoc)
+	m := &Machine{p: p, s: model.NewState(p.Model)}
+	m.x = &behavior.Exec{M: p.Model, S: m.s, Ctx: (*machineCtx)(m)}
+	m.x.ReserveLocals(p.nLoc)
 	m.ring = make([][]ringEnt, p.depth)
 	m.Reset()
 	return m
@@ -120,29 +103,17 @@ func (p *Program) NewMachine() *Machine {
 // image into program memory.
 func (m *Machine) Reset() {
 	p := m.p
-	for i := range m.sc {
-		m.sc[i] = 0
-	}
-	for _, a := range m.arr {
-		for i := range a {
-			a[i] = 0
-		}
-	}
-	for i := range m.pendS {
-		m.pendS[i] = false
-	}
+	m.s.Reset()
 	m.now = m.now[:0]
 	for i := range m.ring {
 		m.ring[i] = m.ring[i][:0]
 	}
 	m.cycle = 0
 	m.err = nil
-	if p.rt.resetFn != nil {
-		p.rt.resetFn(m)
-	}
-	m.commit()
+	m.run(p.rt.resetFn)
+	m.s.Commit()
 	if p.progMem != nil {
-		arr := m.arr[p.progMem.Slot]
+		arr := m.s.Arrays[p.progMem.Slot]
 		base, size := p.progMem.Base, p.progMem.Size
 		mk := kernel.Mask(p.progMem.Width)
 		for i, w := range p.Words {
@@ -154,9 +125,19 @@ func (m *Machine) Reset() {
 	}
 }
 
+// run executes one compiled handler, keeping the first error.
+func (m *Machine) run(fn handlerFn) {
+	if fn == nil {
+		return
+	}
+	if err := fn(m.x); err != nil && m.err == nil {
+		m.err = err
+	}
+}
+
 // Halted reports whether the model's halt resource is nonzero.
 func (m *Machine) Halted() bool {
-	return m.p.halt != nil && m.sc[m.p.halt.Slot] != 0
+	return m.p.halt != nil && m.s.Scalars[m.p.halt.Slot] != 0
 }
 
 // Cycles returns the number of completed control steps.
@@ -187,7 +168,7 @@ func (m *Machine) Run(max uint64) (uint64, error) {
 // stages, so the stage orders the slot completely.
 type ringEnt struct {
 	stage int
-	fn    sfn
+	fn    handlerFn
 }
 
 // Step runs one control step: the main behavior, the activation items
@@ -197,12 +178,10 @@ type ringEnt struct {
 // finally the latch commit.
 func (m *Machine) Step() {
 	rt := m.p.rt
-	if rt.mainFn != nil {
-		rt.mainFn(m)
-	}
+	m.run(rt.mainFn)
 	for i := range rt.items {
 		it := &rt.items[i]
-		if it.cond != nil && it.cond(m) == 0 {
+		if it.cond != nil && it.cond(m.x) == 0 {
 			continue
 		}
 		m.schedule(it.stage, it.fn)
@@ -210,7 +189,7 @@ func (m *Machine) Step() {
 	// Handlers may append (a dispatch scheduling an unassigned or stage-0
 	// instruction), so index rather than range.
 	for i := 0; i < len(m.now); i++ {
-		m.now[i](m)
+		m.run(m.now[i])
 	}
 	m.now = m.now[:0]
 	cur := m.cycle % uint64(m.p.depth)
@@ -218,28 +197,19 @@ func (m *Machine) Step() {
 	for st := 1; st < m.p.depth; st++ {
 		for _, en := range slot {
 			if en.stage == st {
-				en.fn(m)
+				m.run(en.fn)
 			}
 		}
 	}
 	m.ring[cur] = slot[:0]
-	m.commit()
+	m.s.Commit()
 	m.cycle++
 	if m.OnCycle != nil {
 		m.OnCycle(m)
 	}
 }
 
-func (m *Machine) commit() {
-	for i, set := range m.pendS {
-		if set {
-			m.sc[m.p.latches[i].Slot] = m.pendV[i]
-			m.pendS[i] = false
-		}
-	}
-}
-
-func (m *Machine) schedule(stage int, fn sfn) {
+func (m *Machine) schedule(stage int, fn handlerFn) {
 	if fn == nil {
 		return
 	}
@@ -251,50 +221,75 @@ func (m *Machine) schedule(stage int, fn sfn) {
 	m.ring[s] = append(m.ring[s], ringEnt{stage: stage, fn: fn})
 }
 
-// SyncInto copies the machine's architectural state into a model.State
-// (the lockstep comparison path).
-func (m *Machine) SyncInto(st *model.State) {
-	for _, r := range m.p.scalars {
-		if r != nil {
-			st.Scalars[r.Slot] = bitvec.New(m.sc[r.Slot], r.Width)
-		}
+// dispatch schedules the handlers of the word in the dispatch register.
+// A word that does not decode stops the run at the end of the cycle, as
+// the emitted runner's fail does.
+func (m *Machine) dispatch() {
+	p := m.p
+	key := m.s.Scalars[p.rootRes.Slot] & kernel.Mask(p.dispW)
+	if msg, bad := p.rt.dispErr[key]; bad {
+		m.fail(fmt.Errorf("cycle %d: %s", m.cycle, msg))
+		return
 	}
-	for _, r := range m.p.arrays {
-		if r != nil {
-			dst, src := st.Arrays[r.Slot], m.arr[r.Slot]
-			for i := range src {
-				dst[i] = bitvec.New(src[i], r.Width)
-			}
-		}
+	ts, ok := p.rt.disp[key]
+	if !ok {
+		m.fail(fmt.Errorf("cycle %d: dispatch of unknown word %#x", m.cycle, key))
+		return
+	}
+	for _, t := range ts {
+		m.schedule(t.stage, t.fn)
 	}
 }
 
-// State returns a fresh model.State holding the machine's current
-// architectural state.
-func (m *Machine) State() *model.State {
-	st := model.NewState(m.p.Model)
-	m.SyncInto(st)
-	return st
+func (m *Machine) fail(err error) {
+	if m.err == nil {
+		m.err = err
+	}
 }
+
+// machineCtx adapts Machine to behavior.Context: the only context calls
+// an admitted Program makes are prints and coding-root dispatches.
+type machineCtx Machine
+
+func (c *machineCtx) PipeOp(p *model.Pipeline, _ int, op string) error {
+	return fmt.Errorf("pipeline operation %s.%s in a static schedule", p.Name, op)
+}
+
+func (c *machineCtx) Print(s string) {
+	if c.OnPrint != nil {
+		c.OnPrint(s)
+	}
+}
+
+func (c *machineCtx) CallOp(*model.Operation) error {
+	(*Machine)(c).dispatch()
+	return nil
+}
+
+func (c *machineCtx) CallInstance(in *model.Instance) error {
+	return fmt.Errorf("call of %s in a static schedule", in.Op.Name)
+}
+
+// State returns a copy of the machine's current architectural state.
+func (m *Machine) State() *model.State { return m.s.Clone() }
 
 // StateFrom renders a protocol state snapshot (slot-indexed scalars and
 // memories, as the native runner's trace lines carry them) into a fresh
 // model.State — the bridge between a generated run and cosim.Lockstep.
 func (p *Program) StateFrom(sc []uint64, arr [][]uint64) *model.State {
 	st := model.NewState(p.Model)
-	for _, r := range p.scalars {
-		if r != nil && r.Slot < len(sc) {
-			st.Scalars[r.Slot] = bitvec.New(sc[r.Slot], r.Width)
+	for i := range st.Scalars {
+		if i < len(sc) {
+			st.Scalars[i] = sc[i] & kernel.Mask(p.scalars[i].Width)
 		}
 	}
-	for _, r := range p.arrays {
-		if r == nil || r.Slot >= len(arr) {
-			continue
-		}
-		dst := st.Arrays[r.Slot]
-		for i, v := range arr[r.Slot] {
-			if i < len(dst) {
-				dst[i] = bitvec.New(v, r.Width)
+	for i, dst := range st.Arrays {
+		if i < len(arr) {
+			mk := kernel.Mask(p.arrays[i].Width)
+			for j, v := range arr[i] {
+				if j < len(dst) {
+					dst[j] = v & mk
+				}
 			}
 		}
 	}
@@ -302,364 +297,7 @@ func (p *Program) StateFrom(sc []uint64, arr [][]uint64) *model.State {
 }
 
 // Scalars returns a copy of the scalar file (slot-indexed).
-func (m *Machine) Scalars() []uint64 { return append([]uint64(nil), m.sc...) }
+func (m *Machine) Scalars() []uint64 { return append([]uint64(nil), m.s.Scalars...) }
 
 // Arrays returns a copy of the memories (slot-indexed).
-func (m *Machine) Arrays() [][]uint64 {
-	out := make([][]uint64, len(m.arr))
-	for i, a := range m.arr {
-		if a != nil {
-			out[i] = append([]uint64(nil), a...)
-		}
-	}
-	return out
-}
-
-// ---- statement compilation ----------------------------------------------
-
-func compileStmtsFn(p *Program, list []*stmt) sfn {
-	if len(list) == 0 {
-		return nil
-	}
-	fns := make([]sfn, len(list))
-	for i, s := range list {
-		fns[i] = compileStmtFn(p, s)
-	}
-	if len(fns) == 1 {
-		return fns[0]
-	}
-	return func(m *Machine) {
-		for _, f := range fns {
-			f(m)
-		}
-	}
-}
-
-func compileStmtFn(p *Program, s *stmt) sfn {
-	switch s.kind {
-	case sAssign:
-		return compileAssignFn(p, s.lhs, s.rhs)
-	case sIf:
-		cf := compileExprFn(s.cond)
-		tf := compileStmtsFn(p, s.then)
-		ef := compileStmtsFn(p, s.els)
-		return func(m *Machine) {
-			if cf(m) != 0 {
-				if tf != nil {
-					tf(m)
-				}
-			} else if ef != nil {
-				ef(m)
-			}
-		}
-	case sPrint:
-		type part struct {
-			str    string
-			fn     efn
-			w      int
-			signed bool
-		}
-		parts := make([]part, len(s.parts))
-		for i, pp := range s.parts {
-			if pp.isStr {
-				parts[i] = part{str: pp.str}
-			} else {
-				parts[i] = part{fn: compileExprFn(pp.x), w: pp.x.w, signed: pp.signed}
-			}
-		}
-		return func(m *Machine) {
-			segs := make([]string, len(parts))
-			for i, pp := range parts {
-				switch {
-				case pp.fn == nil:
-					segs[i] = pp.str
-				case pp.signed:
-					segs[i] = strconv.FormatInt(int64(kernel.SignExt(pp.fn(m), pp.w)), 10)
-				default:
-					segs[i] = strconv.FormatUint(pp.fn(m), 10)
-				}
-			}
-			if m.OnPrint != nil {
-				m.OnPrint(strings.Join(segs, " "))
-			}
-		}
-	case sDispatch:
-		rrSlot := p.rootRes.Slot
-		dmask := kernel.Mask(p.dispW)
-		return func(m *Machine) {
-			key := m.sc[rrSlot] & dmask
-			if msg, bad := p.rt.dispErr[key]; bad {
-				m.err = fmt.Errorf("cycle %d: %s", m.cycle, msg)
-				return
-			}
-			ts, ok := p.rt.disp[key]
-			if !ok {
-				m.err = fmt.Errorf("cycle %d: dispatch of unknown word %#x", m.cycle, key)
-				return
-			}
-			for _, t := range ts {
-				m.schedule(t.stage, t.fn)
-			}
-		}
-	}
-	panic("gosim: unknown statement kind")
-}
-
-func compileAssignFn(p *Program, lhs *lval, rhs *expr) sfn {
-	rf := compileExprFn(rhs)
-	switch lhs.kind {
-	case lLocal:
-		idx, lw := lhs.local.idx, lhs.local.w
-		mk := kernel.Mask(lw)
-		if lhs.local.signed {
-			rw := lhs.rhsW
-			return func(m *Machine) { m.loc[idx] = kernel.SignExt(rf(m), rw) & mk }
-		}
-		return func(m *Machine) { m.loc[idx] = rf(m) & mk }
-	case lScalar:
-		r := lhs.res
-		mk := kernel.Mask(r.Width)
-		if r.Latch {
-			pi := p.latchIdx[r]
-			return func(m *Machine) {
-				m.pendV[pi] = rf(m) & mk
-				m.pendS[pi] = true
-			}
-		}
-		slot := r.Slot
-		return func(m *Machine) { m.sc[slot] = rf(m) & mk }
-	case lSlice:
-		r := lhs.res
-		slot := r.Slot
-		bmk := kernel.Mask(r.Width)
-		lo := uint(lhs.lo)
-		mm := kernel.Mask(lhs.hi-lhs.lo+1) << lo
-		if r.Latch {
-			pi := p.latchIdx[r]
-			return func(m *Machine) {
-				cur := m.sc[slot] // committed base, as model.State.Write does
-				m.pendV[pi] = ((cur &^ mm) | ((rf(m) << lo) & mm)) & bmk
-				m.pendS[pi] = true
-			}
-		}
-		return func(m *Machine) {
-			cur := m.sc[slot]
-			m.sc[slot] = ((cur &^ mm) | ((rf(m) << lo) & mm)) & bmk
-		}
-	case lElem:
-		r := lhs.res
-		slot := r.Slot
-		base, size := r.Base, r.Size
-		mk := kernel.Mask(r.Width)
-		af := compileExprFn(lhs.idx)
-		return func(m *Machine) {
-			a := af(m)
-			if a >= base && a-base < size {
-				m.arr[slot][a-base] = rf(m) & mk
-			}
-		}
-	}
-	panic("gosim: unknown lvalue kind")
-}
-
-// ---- expression compilation ----------------------------------------------
-
-// widenFn wraps a child closure with the arithmetic-widening conversion
-// to the common width: sign-extension for signed operands, the identity
-// for unsigned ones (payloads are already zero-extended).
-func widenFn(c *expr, cf efn, to int) efn {
-	if c.signed && c.w < to {
-		w := c.w
-		mk := kernel.Mask(to)
-		return func(m *Machine) uint64 { return kernel.SignExt(cf(m), w) & mk }
-	}
-	return cf
-}
-
-// cmpIntFn yields the operand as the int64 the interpreter's signed
-// compare sees: signed operands sign-extend from their own width,
-// unsigned operands from the common width (so an unsigned value with the
-// top bit of the common width set compares negative, exactly like
-// Resize(w) followed by CmpS).
-func cmpIntFn(c *expr, cf efn, w int) func(*Machine) int64 {
-	if c.signed {
-		w = c.w
-	}
-	return func(m *Machine) int64 { return int64(kernel.SignExt(cf(m), w)) }
-}
-
-func compileExprFn(e *expr) efn {
-	switch e.kind {
-	case eConst:
-		k := e.k
-		return func(*Machine) uint64 { return k }
-	case eLocal:
-		idx := e.local.idx
-		return func(m *Machine) uint64 { return m.loc[idx] }
-	case eScalar:
-		slot := e.res.Slot
-		return func(m *Machine) uint64 { return m.sc[slot] }
-	case eElem:
-		slot := e.res.Slot
-		base, size := e.res.Base, e.res.Size
-		af := compileExprFn(e.idx)
-		return func(m *Machine) uint64 {
-			a := af(m)
-			if a >= base && a-base < size {
-				return m.arr[slot][a-base]
-			}
-			return 0
-		}
-	case eSlice:
-		af := compileExprFn(e.a)
-		lo := uint(e.n)
-		mk := kernel.Mask(e.w)
-		return func(m *Machine) uint64 { return (af(m) >> lo) & mk }
-	case eUn:
-		af := compileExprFn(e.a)
-		mk := kernel.Mask(e.w)
-		switch e.op {
-		case "-":
-			return func(m *Machine) uint64 { return (-af(m)) & mk }
-		case "!":
-			return func(m *Machine) uint64 { return kernel.Bool(af(m) == 0) }
-		case "~":
-			return func(m *Machine) uint64 { return (^af(m)) & mk }
-		}
-	case eBin:
-		return compileBinFn(e)
-	case eCond:
-		cf := compileExprFn(e.a)
-		tf := compileExprFn(e.b)
-		ff := compileExprFn(e.c)
-		return func(m *Machine) uint64 {
-			if cf(m) != 0 {
-				return tf(m)
-			}
-			return ff(m)
-		}
-	case eAbs:
-		af := compileExprFn(e.a)
-		w := e.a.w
-		return func(m *Machine) uint64 { return kernel.Abs(af(m), w) }
-	case eMinMax:
-		af := compileExprFn(e.a)
-		bf := compileExprFn(e.b)
-		w := e.a.w
-		switch {
-		case e.a.signed && e.op == "min":
-			return func(m *Machine) uint64 { return kernel.MinS(af(m), bf(m), w) }
-		case e.a.signed:
-			return func(m *Machine) uint64 { return kernel.MaxS(af(m), bf(m), w) }
-		case e.op == "min":
-			return func(m *Machine) uint64 { return kernel.MinU(af(m), bf(m)) }
-		default:
-			return func(m *Machine) uint64 { return kernel.MaxU(af(m), bf(m)) }
-		}
-	case eSat:
-		af := compileExprFn(e.a)
-		w, to := e.a.w, e.n
-		return func(m *Machine) uint64 { return kernel.SatS(af(m), w, to) }
-	case eSext:
-		af := compileExprFn(e.a)
-		n := e.n
-		return func(m *Machine) uint64 { return kernel.SignExt(af(m), n) }
-	case eZext:
-		af := compileExprFn(e.a)
-		mk := kernel.Mask(e.n)
-		return func(m *Machine) uint64 { return af(m) & mk }
-	case eAddSat:
-		af := compileExprFn(e.a)
-		bf := compileExprFn(e.b)
-		aw, bw := e.a.w, e.b.w
-		sub := e.op == "-"
-		return func(m *Machine) uint64 { return kernel.AddSat(af(m), aw, bf(m), bw, sub) }
-	}
-	panic("gosim: unknown expression kind")
-}
-
-func compileBinFn(e *expr) efn {
-	l, r := e.a, e.b
-	w := l.w
-	if r.w > w {
-		w = r.w
-	}
-	lf := compileExprFn(l)
-	rf := compileExprFn(r)
-	switch e.op {
-	case "+", "-", "*", "&", "|", "^", "==", "!=", "/", "%":
-		af := widenFn(l, lf, w)
-		bf := widenFn(r, rf, w)
-		mk := kernel.Mask(w)
-		signed := l.signed || r.signed
-		switch e.op {
-		case "+":
-			return func(m *Machine) uint64 { return (af(m) + bf(m)) & mk }
-		case "-":
-			return func(m *Machine) uint64 { return (af(m) - bf(m)) & mk }
-		case "*":
-			return func(m *Machine) uint64 { return (af(m) * bf(m)) & mk }
-		case "&":
-			return func(m *Machine) uint64 { return af(m) & bf(m) }
-		case "|":
-			return func(m *Machine) uint64 { return af(m) | bf(m) }
-		case "^":
-			return func(m *Machine) uint64 { return af(m) ^ bf(m) }
-		case "==":
-			return func(m *Machine) uint64 { return kernel.Bool(af(m) == bf(m)) }
-		case "!=":
-			return func(m *Machine) uint64 { return kernel.Bool(af(m) != bf(m)) }
-		case "/":
-			if signed {
-				return func(m *Machine) uint64 { return kernel.DivS(af(m), bf(m), w) }
-			}
-			return func(m *Machine) uint64 { return kernel.DivU(af(m), bf(m), w) }
-		default: // "%"
-			if signed {
-				return func(m *Machine) uint64 { return kernel.RemS(af(m), bf(m), w) }
-			}
-			return func(m *Machine) uint64 { return kernel.RemU(af(m), bf(m), w) }
-		}
-	case "<", "<=", ">", ">=":
-		if l.signed || r.signed {
-			ai := cmpIntFn(l, lf, w)
-			bi := cmpIntFn(r, rf, w)
-			switch e.op {
-			case "<":
-				return func(m *Machine) uint64 { return kernel.Bool(ai(m) < bi(m)) }
-			case "<=":
-				return func(m *Machine) uint64 { return kernel.Bool(ai(m) <= bi(m)) }
-			case ">":
-				return func(m *Machine) uint64 { return kernel.Bool(ai(m) > bi(m)) }
-			default:
-				return func(m *Machine) uint64 { return kernel.Bool(ai(m) >= bi(m)) }
-			}
-		}
-		// Unsigned compares are payload compares at the operands' own
-		// widths (CmpU does not widen).
-		switch e.op {
-		case "<":
-			return func(m *Machine) uint64 { return kernel.Bool(lf(m) < rf(m)) }
-		case "<=":
-			return func(m *Machine) uint64 { return kernel.Bool(lf(m) <= rf(m)) }
-		case ">":
-			return func(m *Machine) uint64 { return kernel.Bool(lf(m) > rf(m)) }
-		default:
-			return func(m *Machine) uint64 { return kernel.Bool(lf(m) >= rf(m)) }
-		}
-	case "<<":
-		lw := l.w
-		return func(m *Machine) uint64 { return kernel.Shl(lf(m), rf(m)&63, lw) }
-	case ">>":
-		lw := l.w
-		if l.signed {
-			return func(m *Machine) uint64 { return kernel.ShrS(lf(m), rf(m)&63, lw) }
-		}
-		return func(m *Machine) uint64 { return kernel.ShrU(lf(m), rf(m)&63, lw) }
-	case "&&":
-		return func(m *Machine) uint64 { return kernel.Bool(lf(m) != 0 && rf(m) != 0) }
-	case "||":
-		return func(m *Machine) uint64 { return kernel.Bool(lf(m) != 0 || rf(m) != 0) }
-	}
-	panic("gosim: unknown binary operator " + e.op)
-}
+func (m *Machine) Arrays() [][]uint64 { return m.s.Clone().Arrays }

@@ -4,15 +4,19 @@ import (
 	"fmt"
 
 	"golisa/internal/bitvec"
+	"golisa/internal/bitvec/kernel"
 )
 
-// State is the architectural state of a machine: one bit-accurate value per
-// scalar resource and one value slice per memory resource. It is the
-// paper's "memory model" made executable.
+// State is the architectural state of a machine: one payload per scalar
+// resource and one payload slice per memory resource. Payloads are flat
+// uint64s, zero-extended at their resource's width (the widths live in
+// the Resource), so the threaded-code engines read and write them
+// directly while the bitvec.Value methods below serve everything else.
+// It is the paper's "memory model" made executable.
 type State struct {
 	m       *Model
-	Scalars []bitvec.Value
-	Arrays  [][]bitvec.Value
+	Scalars []uint64
+	Arrays  [][]uint64
 
 	// Pending non-blocking writes to latch resources, applied in order by
 	// Commit at the end of each control step (last write wins).
@@ -23,19 +27,19 @@ type State struct {
 	// program order (at issue time, before latch commit). Alias writes
 	// report the underlying resource with the merged value. OnWriteElem
 	// does the same for memory element writes. Nil costs one comparison.
-	OnWrite     func(r *Resource, v bitvec.Value)
-	OnWriteElem func(r *Resource, addr uint64, v bitvec.Value)
+	OnWrite     func(r *Resource, v uint64)
+	OnWriteElem func(r *Resource, addr uint64, v uint64)
 }
 
 type pendingScalar struct {
 	r *Resource
-	v bitvec.Value
+	v uint64
 }
 
 type pendingElem struct {
 	r    *Resource
 	addr uint64
-	v    bitvec.Value
+	v    uint64
 }
 
 // AssignSlots numbers the resources into state slots. Called once by sema
@@ -59,10 +63,10 @@ func (m *Model) AssignSlots() {
 
 // MaxStateElems is the most memory elements a model may declare, summed
 // over all its memories and banks; sema rejects a model above it. NewState
-// allocates every element eagerly for every simulator (16 bytes each, and
+// allocates every element eagerly for every simulator (8 bytes each, and
 // a batch runs one simulator per worker), and gosim's runners hold the
 // memories in static arrays, so without a bound one malformed declaration
-// such as [0x7FFFFFFFFF] exhausts host memory. The limit (64 MiB of
+// such as [0x7FFFFFFFFF] exhausts host memory. The limit (32 MiB of
 // elements per State) admits the paper's Example 1 resource section
 // (about 1.1M elements) and leaves wide room above the stock models,
 // which declare at most 0x4000 elements per memory. It is also the most
@@ -77,14 +81,9 @@ func NewState(m *Model) *State {
 			continue
 		}
 		if r.IsMemory() {
-			arr := make([]bitvec.Value, r.Total())
-			zero := bitvec.New(0, r.Width)
-			for i := range arr {
-				arr[i] = zero
-			}
-			s.Arrays = append(s.Arrays, arr)
+			s.Arrays = append(s.Arrays, make([]uint64, r.Total()))
 		} else {
-			s.Scalars = append(s.Scalars, bitvec.New(0, r.Width))
+			s.Scalars = append(s.Scalars, 0)
 		}
 	}
 	return s
@@ -97,20 +96,9 @@ func (s *State) Model() *Model { return s.m }
 func (s *State) Reset() {
 	s.pendingScalars = s.pendingScalars[:0]
 	s.pendingElems = s.pendingElems[:0]
-	for i, r := range s.m.Resources {
-		_ = i
-		if r.IsAlias {
-			continue
-		}
-		if r.IsMemory() {
-			zero := bitvec.New(0, r.Width)
-			arr := s.Arrays[r.Slot]
-			for j := range arr {
-				arr[j] = zero
-			}
-		} else {
-			s.Scalars[r.Slot] = bitvec.New(0, r.Width)
-		}
+	clear(s.Scalars)
+	for _, a := range s.Arrays {
+		clear(a)
 	}
 }
 
@@ -120,7 +108,7 @@ func (s *State) Read(r *Resource) bitvec.Value {
 		base := s.Read(r.AliasOf)
 		return base.Slice(r.AliasHi, r.AliasLo)
 	}
-	return s.Scalars[r.Slot]
+	return bitvec.New(s.Scalars[r.Slot], r.Width)
 }
 
 // Write stores v into a scalar resource (truncated to its width),
@@ -131,14 +119,22 @@ func (s *State) Write(r *Resource, v bitvec.Value) {
 		s.Write(r.AliasOf, base.InsertSlice(r.AliasHi, r.AliasLo, v.Uint()))
 		return
 	}
+	s.Set(r, v.Uint())
+}
+
+// Set stores the payload v into the non-alias scalar resource r,
+// truncated to its width. It is the one scalar write path: it reports
+// the write to OnWrite and buffers LATCH resources until Commit.
+func (s *State) Set(r *Resource, v uint64) {
+	v &= kernel.Mask(r.Width)
 	if s.OnWrite != nil {
-		s.OnWrite(r, v.Resize(r.Width))
+		s.OnWrite(r, v)
 	}
 	if r.Latch {
-		s.pendingScalars = append(s.pendingScalars, pendingScalar{r, v.Resize(r.Width)})
+		s.pendingScalars = append(s.pendingScalars, pendingScalar{r, v})
 		return
 	}
-	s.Scalars[r.Slot] = v.Resize(r.Width)
+	s.Scalars[r.Slot] = v
 }
 
 // WriteNow stores v into a scalar resource bypassing latch buffering
@@ -149,7 +145,7 @@ func (s *State) WriteNow(r *Resource, v bitvec.Value) {
 		s.WriteNow(r.AliasOf, base.InsertSlice(r.AliasHi, r.AliasLo, v.Uint()))
 		return
 	}
-	s.Scalars[r.Slot] = v.Resize(r.Width)
+	s.Scalars[r.Slot] = v.Uint() & kernel.Mask(r.Width)
 }
 
 // Commit applies pending latch writes in program order (last write wins) and
@@ -161,9 +157,7 @@ func (s *State) Commit() {
 	}
 	s.pendingScalars = s.pendingScalars[:0]
 	for _, p := range s.pendingElems {
-		if i, err := p.r.elemIndex(p.addr); err == nil {
-			s.Arrays[p.r.Slot][i] = p.v
-		}
+		s.Arrays[p.r.Slot][p.addr-p.r.Base] = p.v
 	}
 	s.pendingElems = s.pendingElems[:0]
 }
@@ -186,25 +180,33 @@ func (s *State) ReadElem(r *Resource, addr uint64) (bitvec.Value, error) {
 	if err != nil {
 		return bitvec.Value{}, err
 	}
-	return s.Arrays[r.Slot][i], nil
+	return bitvec.New(s.Arrays[r.Slot][i], r.Width), nil
 }
 
 // WriteElem writes memory element at addr. Writes to LATCH memories are
 // buffered until Commit.
 func (s *State) WriteElem(r *Resource, addr uint64, v bitvec.Value) error {
-	i, err := r.elemIndex(addr)
-	if err != nil {
+	if _, err := r.elemIndex(addr); err != nil {
 		return err
 	}
+	s.SetElem(r, addr, v.Uint())
+	return nil
+}
+
+// SetElem stores the payload v, truncated to r's width, into element addr
+// of memory r; the caller has checked that addr lies in [Base, Base+Size).
+// It is the one memory write path: it reports the write to OnWriteElem
+// and buffers LATCH memories until Commit.
+func (s *State) SetElem(r *Resource, addr, v uint64) {
+	v &= kernel.Mask(r.Width)
 	if s.OnWriteElem != nil {
-		s.OnWriteElem(r, addr, v.Resize(r.Width))
+		s.OnWriteElem(r, addr, v)
 	}
 	if r.Latch {
-		s.pendingElems = append(s.pendingElems, pendingElem{r, addr, v.Resize(r.Width)})
-		return nil
+		s.pendingElems = append(s.pendingElems, pendingElem{r, addr, v})
+		return
 	}
-	s.Arrays[r.Slot][i] = v.Resize(r.Width)
-	return nil
+	s.Arrays[r.Slot][addr-r.Base] = v
 }
 
 // ReadBanked reads element addr of the given bank of a banked memory.
@@ -219,10 +221,12 @@ func (s *State) ReadBanked(r *Resource, bank, addr uint64) (bitvec.Value, error)
 	if err != nil {
 		return bitvec.Value{}, err
 	}
-	return s.Arrays[r.Slot][bank*r.Size+i], nil
+	return bitvec.New(s.Arrays[r.Slot][bank*r.Size+i], r.Width), nil
 }
 
 // WriteBanked writes element addr of the given bank of a banked memory.
+// Banked writes take effect immediately and are not reported to
+// OnWriteElem.
 func (s *State) WriteBanked(r *Resource, bank, addr uint64, v bitvec.Value) error {
 	if r.Banks <= 0 {
 		return fmt.Errorf("%s: not a banked memory", r.Name)
@@ -234,7 +238,7 @@ func (s *State) WriteBanked(r *Resource, bank, addr uint64, v bitvec.Value) erro
 	if err != nil {
 		return err
 	}
-	s.Arrays[r.Slot][bank*r.Size+i] = v.Resize(r.Width)
+	s.Arrays[r.Slot][bank*r.Size+i] = v.Uint() & kernel.Mask(r.Width)
 	return nil
 }
 
@@ -242,10 +246,10 @@ func (s *State) WriteBanked(r *Resource, bank, addr uint64, v bitvec.Value) erro
 // experiment).
 func (s *State) Clone() *State {
 	c := &State{m: s.m}
-	c.Scalars = append([]bitvec.Value(nil), s.Scalars...)
-	c.Arrays = make([][]bitvec.Value, len(s.Arrays))
+	c.Scalars = append([]uint64(nil), s.Scalars...)
+	c.Arrays = make([][]uint64, len(s.Arrays))
 	for i, a := range s.Arrays {
-		c.Arrays[i] = append([]bitvec.Value(nil), a...)
+		c.Arrays[i] = append([]uint64(nil), a...)
 	}
 	return c
 }
@@ -271,11 +275,11 @@ func (s *State) Equal(o *State) (bool, string) {
 		if r.IsMemory() {
 			a, b := s.Arrays[r.Slot], o.Arrays[r.Slot]
 			for i := range a {
-				if a[i].Uint() != b[i].Uint() {
+				if a[i] != b[i] {
 					return false, fmt.Sprintf("%s[%#x]", r.Name, uint64(i)+r.Base)
 				}
 			}
-		} else if s.Scalars[r.Slot].Uint() != o.Scalars[r.Slot].Uint() {
+		} else if s.Scalars[r.Slot] != o.Scalars[r.Slot] {
 			return false, r.Name
 		}
 	}

@@ -184,11 +184,11 @@ func (r *Recording) DecodeCheckpoint(ref CkptRef) (*sim.Snapshot, error) {
 	if k := d.byte(); k != recCheckpoint {
 		return nil, fmt.Errorf("offset %d is not a checkpoint record", ref.off)
 	}
-	n := d.u()
-	if d.err != nil || uint64(d.off)+n > uint64(len(r.data)) {
+	b := d.take(d.u())
+	if d.err != nil {
 		return nil, fmt.Errorf("checkpoint at step %d: %w", ref.Step, errTruncated)
 	}
-	body := &dec{b: r.data[d.off : d.off+int(n)]}
+	body := &dec{b: b}
 	step := body.u()
 	hash := body.fixed64()
 	snap := decodeSnapshot(body, r.ModelName, r.Ops)
@@ -389,13 +389,11 @@ func (c *Cursor) Next() (Record, error) {
 		rc.Input.Value = d.u()
 		rc.Step = rc.Input.Step
 	case recCheckpoint:
-		n := d.u()
-		if d.err != nil || uint64(d.off)+n > uint64(len(d.b)) {
-			d.fail()
+		b := d.take(d.u())
+		if d.err != nil {
 			break
 		}
-		body := &dec{b: d.b[d.off : d.off+int(n)]}
-		d.off += int(n)
+		body := &dec{b: b}
 		rc.Step = body.u()
 		rc.CkptHash = body.fixed64()
 		if body.err != nil {

@@ -3,6 +3,7 @@ package replay
 import (
 	"sort"
 
+	"golisa/internal/model"
 	"golisa/internal/sim"
 )
 
@@ -125,7 +126,7 @@ func encodeSnapshot(e *enc, t *strtab, opIdx map[string]uint64, sn *sim.Snapshot
 	}
 }
 
-func decodeSnapshot(d *dec, model string, opNames []string) *sim.Snapshot {
+func decodeSnapshot(d *dec, modelName string, opNames []string) *sim.Snapshot {
 	t := &rstrtab{}
 	ref := func() string {
 		i := d.u()
@@ -171,20 +172,27 @@ func decodeSnapshot(d *dec, model string, opNames []string) *sim.Snapshot {
 		return p
 	}
 
-	sn := &sim.Snapshot{Model: model, Step: d.u()}
+	sn := &sim.Snapshot{Model: modelName, Step: d.u()}
+	// Every element takes at least one byte, so a count above the bytes
+	// remaining is corrupt; checking first keeps it from sizing memory.
 	ns := d.u()
-	if d.err != nil {
+	if d.err != nil || ns > d.rest() {
+		d.fail()
 		return sn
 	}
 	sn.Scalars = make([]uint64, 0, ns)
 	for i := uint64(0); i < ns && d.err == nil; i++ {
 		sn.Scalars = append(sn.Scalars, d.u())
 	}
+	// A model's memories hold at most model.MaxStateElems elements in
+	// all, which bounds what the rows may allocate together.
 	na := d.u()
+	var elems uint64
 	for i := uint64(0); i < na && d.err == nil; i++ {
 		size := d.u()
 		pairs := d.u()
-		if d.err != nil || size > uint64(1)<<32 {
+		elems += size
+		if d.err != nil || size > model.MaxStateElems || elems > model.MaxStateElems {
 			d.fail()
 			break
 		}
@@ -241,6 +249,10 @@ func decodeSnapshot(d *dec, model string, opNames []string) *sim.Snapshot {
 	sn.Activations = d.u()
 	sn.Retired = d.u()
 	ne := d.u()
+	if ne > d.rest() {
+		d.fail()
+		return sn
+	}
 	sn.Execs = make(map[string]uint64, ne)
 	for i := uint64(0); i < ne && d.err == nil; i++ {
 		name := ref()

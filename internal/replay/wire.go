@@ -16,7 +16,6 @@ package replay
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 )
 
 // wire format version; bump on incompatible changes. Version 2 extended
@@ -165,15 +164,22 @@ func (d *dec) fixed64() uint64 {
 	return v
 }
 
-func (d *dec) str() string {
-	n := d.u()
-	if d.err != nil || uint64(d.off)+n > uint64(len(d.b)) {
+func (d *dec) str() string { return string(d.take(d.u())) }
+
+// rest returns the number of unread bytes.
+func (d *dec) rest() uint64 { return uint64(len(d.b) - d.off) }
+
+// take returns the next n bytes, or fails when fewer remain. Comparing
+// against the remainder, not d.off+n against the length, keeps lengths
+// near 2^64 from wrapping around the check.
+func (d *dec) take(n uint64) []byte {
+	if d.err != nil || n > d.rest() {
 		d.fail()
-		return ""
+		return nil
 	}
-	s := string(d.b[d.off : d.off+int(n)])
+	b := d.b[d.off : d.off+int(n)]
 	d.off += int(n)
-	return s
+	return b
 }
 
 // rstrtab mirrors strtab on the read side.
@@ -193,11 +199,4 @@ func (t *rstrtab) get(d *dec) string {
 		return ""
 	}
 	return t.strs[i-1]
-}
-
-// readFull is a small helper for header parsing from a stream.
-func readFull(r io.Reader, n int) ([]byte, error) {
-	b := make([]byte, n)
-	_, err := io.ReadFull(r, b)
-	return b, err
 }

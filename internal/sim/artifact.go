@@ -14,7 +14,7 @@ import (
 // Artifact is the immutable, shareable half of a simulator: the parsed
 // model, the decoder over its coding tables, pre-bound static instances,
 // a pre-warmed decode cache, and (outside interpretive mode) the
-// pre-compiled behavior closures. It is built once — NewArtifact plus
+// pre-compiled behavior code. It is built once — NewArtifact plus
 // optional Prewarm calls — and then shared by any number of simulators
 // created with NewFromArtifact, which allocate only the cheap per-run
 // state (machine state, pipelines, time wheel, profile).
@@ -38,10 +38,6 @@ type Artifact struct {
 	decode map[decodeKey]*model.Instance
 	shared *behavior.CompiledSet
 
-	// buildX is the compile-time behavior context used while populating the
-	// shared set; it carries no run-time state and is dropped at freeze.
-	buildX *behavior.Exec
-
 	decodes    uint64 // decode operations performed while pre-warming
 	frozen     atomic.Bool
 	freezeOnce sync.Once
@@ -50,7 +46,7 @@ type Artifact struct {
 // NewArtifact compiles the shareable simulator state for the model in the
 // given mode: the decoder, a static (unbound) instance for every operation
 // whose variant resolves without bindings, and — outside interpretive
-// mode — the compiled behavior closures and activation expressions of
+// mode — the compiled behaviors and activation expressions of
 // those instances. Call Prewarm to also pre-decode known instruction words, then
 // NewFromArtifact for each run.
 func NewArtifact(m *model.Model, mode Mode) *Artifact {
@@ -60,10 +56,9 @@ func NewArtifact(m *model.Model, mode Mode) *Artifact {
 		dec:    coding.NewDecoder(m),
 		static: map[*model.Operation]*model.Instance{},
 		decode: map[decodeKey]*model.Instance{},
-		buildX: &behavior.Exec{M: m, S: model.NewState(m)},
 	}
 	if mode != Interpretive {
-		a.shared = behavior.NewCompiledSet()
+		a.shared = behavior.NewCompiledSet(m)
 	}
 	// Pre-bind the operations reachable without operand bindings (main,
 	// reset, stage controllers, ...). Operations whose variants are all
@@ -76,7 +71,7 @@ func NewArtifact(m *model.Model, mode Mode) *Artifact {
 		}
 		a.static[op] = in
 		if a.shared != nil {
-			a.shared.Precompile(a.buildX, in)
+			a.shared.Precompile(in)
 		}
 	}
 	return a
@@ -123,7 +118,7 @@ func (a *Artifact) Prewarm(words []uint64) error {
 			a.decodes++
 			a.decode[key] = in
 			if a.shared != nil {
-				a.shared.Precompile(a.buildX, in)
+				a.shared.Precompile(in)
 			}
 		}
 	}
@@ -135,7 +130,7 @@ func (a *Artifact) Prewarm(words []uint64) error {
 // every executed word was pre-warmed.
 func (a *Artifact) Decodes() uint64 { return a.decodes }
 
-// Compiles returns the number of behavior closures and activation
+// Compiles returns the number of behaviors and activation
 // expressions pre-compiled into the artifact (zero in interpretive
 // mode).
 func (a *Artifact) Compiles() uint64 {
@@ -148,8 +143,7 @@ func (a *Artifact) Compiles() uint64 {
 // CachedWords returns the number of pre-warmed decode-cache entries.
 func (a *Artifact) CachedWords() int { return len(a.decode) }
 
-// freeze ends the build phase: the shared maps become read-only and the
-// compile-time context is dropped. Safe to call from concurrent
+// freeze ends the build phase: the shared maps become read-only. Safe to call from concurrent
 // NewFromArtifact calls; the build phase itself (NewArtifact, Prewarm)
 // still belongs to a single goroutine.
 func (a *Artifact) freeze() {
@@ -158,12 +152,11 @@ func (a *Artifact) freeze() {
 		if a.shared != nil {
 			a.shared.Freeze()
 		}
-		a.buildX = nil
 	})
 }
 
 // NewFromArtifact creates a simulator sharing the artifact's decoder,
-// static instances, pre-warmed decode cache and pre-compiled closures.
+// static instances, pre-warmed decode cache and pre-compiled code.
 // Only per-run state is allocated, so the call is cheap enough for
 // per-job construction in a batch fleet. The first call freezes the
 // artifact; simulators created from one artifact may then run concurrently

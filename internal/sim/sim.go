@@ -1,8 +1,10 @@
 // Package sim implements the retargetable simulators generated from LISA
 // models: the control-step loop, activation scheduling with spatial-distance
 // timing, the generic pipeline mechanisms, and both simulation techniques
-// the paper contrasts — interpretive (decode every execution) and compiled
-// (decode once, pre-bind, re-execute).
+// the paper contrasts — interpretive (decode every execution, walk the
+// behavior AST) and compiled (decode once, pre-bind, and re-execute each
+// bound instance's behavior as threaded code from the typed IR of
+// internal/behavior, the lowering gosim's emitter also renders).
 package sim
 
 import (
@@ -24,7 +26,8 @@ type Mode int
 // the behavior AST on every execution — the paper's baseline and the
 // reference every other engine is checked against. Compiled decodes once
 // per distinct word, reuses the bound instance and runs its behavior as
-// pre-compiled closures (the paper's compiled-simulation principle).
+// threaded code compiled once from the typed IR (the paper's
+// compiled-simulation principle).
 // Generated is the true compiled tier (internal/gosim): the program is
 // translated to specialized Go code. A sim.Simulator built in Generated
 // mode behaves exactly like Compiled — it is the in-process fallback
@@ -97,9 +100,9 @@ type Profile struct {
 
 	// Artifact-sharing counters. SharedDecodeHits is the subset of
 	// DecodeHits served from a shared artifact's pre-warmed cache;
-	// Compiles counts behavior closures and activation expressions
-	// compiled by this simulator at run time (pre-compiled artifact
-	// closures do not count). A fully pre-warmed compiled fleet job keeps
+	// Compiles counts behaviors and activation expressions compiled by
+	// this simulator at run time (code pre-compiled into an artifact does
+	// not count). A fully pre-warmed compiled fleet job keeps
 	// both Decodes and Compiles at zero — the zero-recompilation property
 	// the fleet asserts.
 	SharedDecodeHits uint64
@@ -212,7 +215,7 @@ func New(m *model.Model, mode Mode) *Simulator {
 
 // newSimulator builds the per-run state; a non-nil artifact contributes
 // the shared decoder, static instances, decode cache and compiled
-// closures.
+// behavior code.
 func newSimulator(m *model.Model, mode Mode, a *Artifact) *Simulator {
 	s := &Simulator{
 		M:            m,
@@ -285,8 +288,8 @@ func (s *Simulator) SwapObserver(o trace.Observer) trace.Observer {
 		return prev
 	}
 	s.x.Obs = o
-	s.S.OnWrite = func(r *model.Resource, v bitvec.Value) { o.OnResourceWrite(r.Name, v.Uint()) }
-	s.S.OnWriteElem = func(r *model.Resource, addr uint64, v bitvec.Value) { o.OnMemWrite(r.Name, addr, v.Uint()) }
+	s.S.OnWrite = func(r *model.Resource, v uint64) { o.OnResourceWrite(r.Name, v) }
+	s.S.OnWriteElem = func(r *model.Resource, addr uint64, v uint64) { o.OnMemWrite(r.Name, addr, v) }
 	return prev
 }
 
@@ -537,7 +540,7 @@ func (s *Simulator) execute(it runItem) error {
 }
 
 // runBehavior dispatches to the mode's execution engine: the AST walker
-// in interpretive mode, pre-compiled closures otherwise.
+// in interpretive mode, the behavior compiled to threaded code otherwise.
 func (s *Simulator) runBehavior(in *model.Instance) error {
 	if s.mode == Interpretive {
 		return s.x.Run(in)
@@ -701,7 +704,7 @@ func (s *Simulator) processActivation(in *model.Instance, items []ast.ActItem, c
 	return nil
 }
 
-// evalCond evaluates an activation condition, using compiled closures
+// evalCond evaluates an activation condition, using compiled code
 // outside interpretive mode.
 func (s *Simulator) evalCond(in *model.Instance, e ast.Expr) (bool, error) {
 	if s.mode == Interpretive {

@@ -122,17 +122,10 @@ func (s *Simulator) Snapshot() *Snapshot {
 		Retired:     s.prof.Retired,
 		Execs:       make(map[string]uint64, len(s.execs)),
 	}
-	snap.Scalars = make([]uint64, len(s.S.Scalars))
-	for i, v := range s.S.Scalars {
-		snap.Scalars[i] = v.Uint()
-	}
+	snap.Scalars = append([]uint64(nil), s.S.Scalars...)
 	snap.Arrays = make([][]uint64, len(s.S.Arrays))
 	for i, a := range s.S.Arrays {
-		row := make([]uint64, len(a))
-		for j, v := range a {
-			row[j] = v.Uint()
-		}
-		snap.Arrays[i] = row
+		snap.Arrays[i] = append([]uint64(nil), a...)
 	}
 	for _, p := range s.pipes {
 		ps := PipeSnap{
@@ -233,10 +226,10 @@ func (s *Simulator) Restore(snap *Snapshot) error {
 				return fmt.Errorf("snapshot memory %s has %d elements, model has %d", r.Name, len(row), len(arr))
 			}
 			for j, v := range row {
-				arr[j] = bitvec.New(v, r.Width)
+				arr[j] = v & bitvec.Mask(r.Width)
 			}
 		} else {
-			s.S.Scalars[r.Slot] = bitvec.New(snap.Scalars[r.Slot], r.Width)
+			s.S.Scalars[r.Slot] = snap.Scalars[r.Slot] & bitvec.Mask(r.Width)
 		}
 	}
 	// Pipelines.
