@@ -95,13 +95,30 @@ func main() {
 
 	// The generated tier bypasses the generic scheduler entirely: the
 	// program is compiled to specialized Go, built into a cached runner
-	// and executed as a subprocess (IR-interpreted in-process when that
-	// is not worth it). Programs or models outside the supported class
-	// fall back to the in-process compiled engine below, with a notice.
+	// and executed as a subprocess. A run that needs an in-process
+	// observer, a program or model outside the supported class, and a
+	// run no runner can serve fall back to the in-process compiled engine
+	// below, with a notice. The fallback is a compiled run in every sink
+	// — the step line, perf records, recordings and bundles — so none of
+	// them credits the generated tier with the compiled engine's work.
 	if mode == sim.Generated {
-		if runGenerated(tr, m, &common, string(src), *dumpRegs) {
+		var flagName string
+		switch {
+		case *traceOut != "":
+			flagName = "-trace"
+		case *metricsOut != "":
+			flagName = "-metrics"
+		case *vcdOut != "":
+			flagName = "-vcd"
+		default:
+			flagName = obs.InProcessFlag()
+		}
+		if flagName != "" {
+			fmt.Fprintf(os.Stderr, "%s: %s needs the in-process simulator; falling back to the compiled engine\n", cli.Tool, flagName)
+		} else if runGenerated(tr, m, &common, string(src), *dumpRegs) {
 			return
 		}
+		mode = sim.Compiled
 	}
 
 	asmSpan := tr.Start(nil, "assemble")
@@ -207,8 +224,8 @@ func main() {
 
 // runGenerated runs the program on the generated-code simulator. It
 // returns false (without output) when the (model, program) pair is
-// outside gosim's supported class, in which case the caller falls back to
-// the in-process compiled engine.
+// outside gosim's supported class or no native runner can serve the run,
+// in which case the caller falls back to the in-process compiled engine.
 func runGenerated(tr *otrace.Trace, m *core.Machine, common *cli.Common, src, dumpRegs string) bool {
 	a, err := m.NewAssembler()
 	cli.Fail(err)
@@ -228,15 +245,16 @@ func runGenerated(tr *otrace.Trace, m *core.Machine, common *cli.Common, src, du
 	runSpan := tr.Start(nil, "run")
 	res, err := eng.Run(common.Max)
 	runSpan.End()
+	if errors.Is(err, gosim.ErrNoRunner) {
+		cli.Fail(cache.Close())
+		fmt.Fprintf(os.Stderr, "%s: %v; falling back to the compiled engine\n", cli.Tool, err)
+		return false
+	}
 	cli.Fail(errors.Join(err, cache.Close()))
 	fmt.Printf("; %d words loaded at %#x\n", len(prog.Words), prog.Origin)
 	fmt.Printf("; %d control steps (generated mode), halted=%v; trace %s\n", res.Steps, res.Halted, tr.ID())
-	if res.Native {
-		fmt.Printf("; native runner: cache hit=%v, runner builds this process=%d, run loop %s\n",
-			res.CacheHit, eng.Cache.Builds(), time.Duration(res.RunNs))
-	} else {
-		fmt.Printf("; IR fallback (%s), run loop %s\n", res.Fallback, time.Duration(res.RunNs))
-	}
+	fmt.Printf("; native runner: cache hit=%v, runner builds this process=%d, run loop %s\n",
+		res.CacheHit, eng.Cache.Builds(), time.Duration(res.RunNs))
 	for _, name := range strings.Split(dumpRegs, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {

@@ -24,7 +24,7 @@ type builtin struct {
 }
 
 // builtins is the builtin table both behavior engines execute, and the
-// name list gosim's IR recognizes.
+// name list the IR lowering recognizes.
 var builtins = map[string]builtin{
 	"abs":         {1, func(a, _, _ val) val { return val{bitvec.Abs(a.v), true} }},
 	"min":         {2, func(a, b, _ val) val { return minMax(a, b, false) }},

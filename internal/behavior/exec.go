@@ -3,8 +3,8 @@
 // simulator's engine and the reference every other engine is checked
 // against, and the one typed lowering of behaviors (ir.go): an IR over
 // static widths that the threaded-code backend (threaded.go) runs as the
-// compiled simulator's engine (compiled.go) and gosim's in-process
-// machine, and that gosim's emitter renders as Go source.
+// compiled simulator's engine (compiled.go), and that gosim's emitter
+// renders as Go source.
 //
 // Execution happens in the context of a bound model.Instance: identifiers
 // resolve, in order, to local variables, decoded label fields, group/

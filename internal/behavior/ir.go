@@ -20,8 +20,8 @@ import (
 // in the child's context, and resources become slots.
 //
 // Two backends execute the one tree: the threaded-code compiler in
-// threaded.go, which sim's compiled mode and gosim's in-process Machine
-// run, and gosim's Go source emitter. Both evaluate every operator
+// threaded.go, which sim's compiled mode runs, and gosim's Go source
+// emitter. Both evaluate every operator
 // through the semantic kernel (internal/bitvec/kernel) that bitvec.Value
 // wraps, so all engines share one definition of the arithmetic.
 //

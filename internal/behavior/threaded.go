@@ -55,28 +55,6 @@ func (x *Exec) finish(c ctl) error {
 	return nil
 }
 
-// CompileStmts compiles an IR statement list to threaded code. The
-// returned function runs it on x and reports the run's error; an empty
-// list compiles to nil.
-func CompileStmts(list []*Stmt) func(*Exec) error {
-	fn := stmtsFn(list)
-	if fn == nil {
-		return nil
-	}
-	return func(x *Exec) error { return x.finish(fn(x)) }
-}
-
-// CompileExpr compiles an IR expression to threaded code.
-func CompileExpr(e *Expr) func(*Exec) uint64 { return exprFn(e) }
-
-// ReserveLocals sizes x's local pool for code from CompileStmts whose
-// bodies need up to n locals and never nest (gosim's handlers).
-func (x *Exec) ReserveLocals(n int) {
-	if len(x.loc) < n {
-		x.loc = make([]uint64, n)
-	}
-}
-
 // ---- statements ----------------------------------------------------------
 
 func stmtsFn(list []*Stmt) sfn {

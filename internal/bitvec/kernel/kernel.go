@@ -4,8 +4,8 @@
 // is masked back to its width. Signed operations sign-extend from w.
 //
 // This file is the single definition every engine executes: bitvec.Value
-// wraps these functions for the two behavior engines, gosim's IR
-// closures call them directly, and gosim's emitter pastes this file,
+// wraps these functions for the two behavior engines, the IR's threaded
+// code calls them directly, and gosim's emitter pastes this file,
 // minus its package clause, verbatim into every generated runner. It must
 // therefore stay import-free and self-contained.
 package kernel

@@ -82,6 +82,28 @@ func (o *Obs) wantAnalyzer() bool {
 	return o.Analyze || o.AnalyzeJSON != "" || o.AnalyzeHTML != "" || o.HTTPAddr != "" || o.wantPerf() || o.Bundle != ""
 }
 
+// InProcessFlag names the first set flag whose output needs an observer
+// on the in-process simulator, or returns "" when none is set. The
+// generated tier runs in a subprocess that no observer can reach, so a
+// generated run with such a flag runs on the compiled engine instead.
+func (o *Obs) InProcessFlag() string {
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"-profile", o.ProfileOut != ""}, {"-folded", o.FoldedOut != ""}, {"-top", o.Top > 0},
+		{"-http", o.HTTPAddr != ""}, {"-record", o.RecordOut != ""},
+		{"-analyze", o.Analyze}, {"-analyze-json", o.AnalyzeJSON != ""}, {"-analyze-html", o.AnalyzeHTML != ""},
+		{"-cov", o.Cov}, {"-cov-json", o.CovJSON != ""}, {"-cov-html", o.CovHTML != ""},
+		{"-perf", o.Perf}, {"-perf-ledger", o.PerfLedger != ""}, {"-bundle", o.Bundle != ""},
+	} {
+		if f.set {
+			return f.name
+		}
+	}
+	return ""
+}
+
 // wantCover reports whether any flag asked for model coverage (the live
 // server always gets a collector so /coverage works).
 func (o *Obs) wantCover() bool {

@@ -10,6 +10,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -63,8 +64,8 @@ type Result struct {
 	PrintsTruncated bool `json:"prints_truncated,omitempty"`
 
 	// GenNative marks a generated-mode job that executed its built native
-	// runner; GenFallback records why one ran on the in-process IR
-	// interpreter instead (toolchain missing, program below the build
+	// runner; GenFallback records why one ran on the batch's compiled
+	// artifact instead (toolchain missing, program below the build
 	// threshold). Jobs outside the generated tier leave both zero.
 	GenNative   bool   `json:"gen_native,omitempty"`
 	GenFallback string `json:"gen_fallback,omitempty"`
@@ -295,8 +296,9 @@ func Run(mc *core.Machine, mode sim.Mode, jobs []Job, opt Options) (*Summary, er
 	// Generated tier: compile each distinct program into its specialized
 	// gosim form once; workers share one runner cache, so each (model,
 	// program) pair is `go build`-ed at most once across the whole pool.
-	// Observer-needing options (Analyze/Cover/Chrome) and unsupported
-	// programs stay on the in-process compiled artifact path.
+	// Observer-needing options (Analyze/Cover/Chrome), unsupported
+	// programs and jobs no runner can serve run on the in-process compiled
+	// artifact.
 	var genProgs map[string]*gosim.Program
 	var genCache *gosim.Cache
 	if mode == sim.Generated && !opt.Analyze && !opt.Cover && opt.Chrome == nil {
@@ -366,9 +368,8 @@ func Run(mc *core.Machine, mode sim.Mode, jobs []Job, opt Options) (*Summary, er
 						simTracers[i] = ct
 					}
 					runSpan := tr.Start(jobSpan, "run")
-					if gp := genProgs[job.Source]; gp != nil {
-						runGenJob(genCache, gp, max, maxPrints, &res)
-					} else {
+					gp := genProgs[job.Source]
+					if gp == nil || !runGenJob(genCache, gp, max, maxPrints, &res) {
 						runJob(art, pm, progs[job.Source], max, maxPrints, opt.Analyze, covMap, ct, &res)
 					}
 					runSpan.SetAttr("steps", res.Steps)
@@ -557,20 +558,21 @@ func runJob(art *sim.Artifact, pm string, prog *asm.Program, maxSteps uint64, ma
 }
 
 // runGenJob executes one generated-tier simulation: the specialized
-// gosim program on the shared runner cache, degrading to the in-process
-// IR interpreter when the native path is unavailable.
-func runGenJob(cache *gosim.Cache, gp *gosim.Program, maxSteps uint64, maxPrints int, res *Result) {
+// gosim program on a native runner from the shared cache. When no runner
+// can serve it, runGenJob records the reason in res.GenFallback and
+// reports false, and the caller runs the job on the compiled artifact.
+func runGenJob(cache *gosim.Cache, gp *gosim.Program, maxSteps uint64, maxPrints int, res *Result) bool {
 	r, err := gosim.NewEngine(gp, cache, gosim.Options{}).Run(maxSteps)
+	if errors.Is(err, gosim.ErrNoRunner) {
+		res.GenFallback = err.Error()
+		return false
+	}
 	if err != nil {
 		res.Err = err.Error()
 	}
-	if r == nil {
-		return
-	}
 	res.Steps = r.Steps
 	res.Halted = r.Halted
-	res.GenNative = r.Native
-	res.GenFallback = r.Fallback
+	res.GenNative = true
 	if len(r.Penalty) > 0 {
 		res.Penalty = r.Penalty
 	}
@@ -581,6 +583,7 @@ func runGenJob(cache *gosim.Cache, gp *gosim.Program, maxSteps uint64, maxPrints
 		}
 		res.Prints = append(res.Prints, msg)
 	}
+	return true
 }
 
 // SortedPenaltyCauses returns the summary's penalty causes in a stable

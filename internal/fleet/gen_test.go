@@ -3,6 +3,8 @@ package fleet
 import (
 	"fmt"
 	"os/exec"
+	"slices"
+	"strings"
 	"testing"
 
 	"golisa/internal/sim"
@@ -50,21 +52,24 @@ func TestFleetGeneratedBuildsOncePerProgram(t *testing.T) {
 			t.Errorf("job %s: halted=%v err=%q", r.Name, r.Halted, r.Err)
 		}
 		if !r.GenNative {
-			t.Errorf("job %s ran on the IR fallback: %s", r.Name, r.GenFallback)
+			t.Errorf("job %s ran on the compiled fallback: %s", r.Name, r.GenFallback)
 		}
 	}
 }
 
 // TestFleetGeneratedFallbackWithoutToolchain empties PATH so `go` cannot
-// be found: every generated-mode job must complete on the in-process IR
-// interpreter (correct results, a recorded fallback reason) with zero
-// runner builds — the generated tier degrades, it never fails the batch.
+// be found: every generated-mode job must complete on the batch's
+// compiled artifact, with the same steps, halt and prints as the same
+// jobs in a compiled batch, a fallback reason naming the toolchain and
+// zero runner builds — the generated tier degrades, it never fails the
+// batch.
 func TestFleetGeneratedFallbackWithoutToolchain(t *testing.T) {
 	t.Setenv("PATH", t.TempDir())
-	mc, _ := loadFIR(t)
+	mc, src := loadFIR(t)
 	jobs := []Job{
 		{Name: "a", Source: genProgram(0)},
 		{Name: "b", Source: genProgram(1)},
+		{Name: "fir", Source: src},
 	}
 	sum, err := Run(mc, sim.Generated, jobs, Options{Workers: 2, GenCache: t.TempDir()})
 	if err != nil {
@@ -80,12 +85,21 @@ func TestFleetGeneratedFallbackWithoutToolchain(t *testing.T) {
 		t.Errorf("GenNative = %d, GenFallback = %d, want 0 native and %d fallbacks",
 			sum.GenNative, sum.GenFallback, len(jobs))
 	}
-	for _, r := range sum.Results {
+	compiled, err := Run(mc, sim.Compiled, jobs, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range sum.Results {
+		c := compiled.Results[i]
 		if !r.Halted || r.Err != "" {
 			t.Errorf("job %s: halted=%v err=%q", r.Name, r.Halted, r.Err)
 		}
-		if r.GenFallback == "" {
-			t.Errorf("job %s: no fallback reason recorded", r.Name)
+		if r.Steps != c.Steps || r.Halted != c.Halted || !slices.Equal(r.Prints, c.Prints) {
+			t.Errorf("job %s: fallback %d steps halted=%v prints %q, compiled %d steps halted=%v prints %q",
+				r.Name, r.Steps, r.Halted, r.Prints, c.Steps, c.Halted, c.Prints)
+		}
+		if !strings.Contains(r.GenFallback, "go toolchain not found") {
+			t.Errorf("job %s: fallback reason %q does not name the toolchain", r.Name, r.GenFallback)
 		}
 	}
 }

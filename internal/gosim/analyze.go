@@ -2,7 +2,6 @@ package gosim
 
 import (
 	"fmt"
-	"sync"
 
 	"golisa/internal/asm"
 	"golisa/internal/ast"
@@ -18,8 +17,8 @@ import (
 // Program is one (model, program) pair translated into the gosim IR: the
 // reset and main behaviors, the per-cycle activation schedule, and one
 // pre-decoded handler per distinct instruction word. It is immutable
-// after Compile and shared freely across Machines, workers and the
-// source emitter.
+// after Compile and shared freely across workers and the source
+// emitter.
 type Program struct {
 	Model     *model.Model
 	ModelHash string // perf.HashString over the LISA source
@@ -32,7 +31,6 @@ type Program struct {
 	pipe    *model.Pipeline
 	progMem *model.Resource
 	halt    *model.Resource // nil: never halts
-	root    *model.Operation
 	rootRes *model.Resource
 	dispW   int // dispatch key width: min(root resource width, word width)
 
@@ -49,11 +47,7 @@ type Program struct {
 	scalars []*model.Resource
 	arrays  []*model.Resource
 
-	latches  []*model.Resource
-	latchIdx map[*model.Resource]int
-
-	rt     *runtimeProg // lazily compiled closure backend (interp.go)
-	rtOnce sync.Once
+	latches []*model.Resource
 }
 
 // mainItem is one ActRef of the main operation's ACTIVATION: an optional
@@ -97,7 +91,6 @@ func Compile(mc *core.Machine, prog *asm.Program) (*Program, error) {
 		ProgHash:  perf.HashProgram(prog.Origin, prog.Words),
 		Origin:    prog.Origin,
 		handlers:  map[uint64]*wordHandler{},
-		latchIdx:  map[*model.Resource]int{},
 	}
 
 	if len(m.Pipelines) > 1 {
@@ -142,7 +135,6 @@ func Compile(mc *core.Machine, prog *asm.Program) (*Program, error) {
 		}
 		p.scalars[r.Slot] = r
 		if r.Latch {
-			p.latchIdx[r] = len(p.latches)
 			p.latches = append(p.latches, r)
 		}
 	}
@@ -226,7 +218,6 @@ func Compile(mc *core.Machine, prog *asm.Program) (*Program, error) {
 		return nil, err
 	}
 
-	p.root = b.root
 	p.nLoc = b.low.MaxLocals
 	return p, nil
 }

@@ -13,21 +13,21 @@
 // (model, program) pair. Both start from the one typed lowering of
 // behaviors in internal/behavior; gosim lowers with calls inlined.
 //
-// When the toolchain is unavailable, or the program is too short to
-// amortize a build, the same IR runs in process as the threaded code sim
-// executes (interp.go), with identical semantics — the IR Machine is
-// also the reference the emitted runner is cross-checked against.
+// gosim runs nothing in process. When no runner can serve a run (no
+// cache, a program too short to amortize a build, no toolchain to build
+// one, a failed build or a broken protocol), Engine.Run returns an error
+// wrapping ErrNoRunner; callers fall back to sim's compiled engine, the
+// one in-process scheduler.
 //
 // Models outside the statically schedulable class (multiple pipelines,
 // data-dependent delays, stalls/flushes, loops and other statements the
 // emitter does not render) fail Compile with an error wrapping
-// ErrUnsupported; callers fall back to the classic simulator.
+// ErrUnsupported; callers fall back the same way.
 package gosim
 
 import (
 	"errors"
 	"fmt"
-	"time"
 )
 
 // ErrUnsupported marks a (model, program) pair outside gosim's statically
@@ -35,9 +35,14 @@ import (
 // interpretive/compiled engines.
 var ErrUnsupported = errors.New("unsupported by the generated-code simulator")
 
+// ErrNoRunner marks a run no native runner could serve. The wrapping
+// error carries the reason; callers match it with errors.Is and run the
+// program on sim's compiled engine instead.
+var ErrNoRunner = errors.New("no native runner")
+
 // DefaultMinBuildWords is the engine's build threshold: programs
-// shorter than this run on the IR interpreter, since a `go build` costs
-// far more than the whole simulation.
+// shorter than this get no runner, since a `go build` costs far more
+// than the whole simulation.
 const DefaultMinBuildWords = 4
 
 // Options shapes one Engine.
@@ -47,9 +52,7 @@ type Options struct {
 	OnPrint func(string)
 	// OnCycleState, when non-nil, receives the architectural state after
 	// every completed control step (slot-indexed scalars and memories) —
-	// the lockstep cross-check hook. The native runner streams the same
-	// states over the protocol's trace lines, so the hook observes
-	// identical sequences on either backend.
+	// the lockstep cross-check hook, fed from the protocol's trace lines.
 	OnCycleState func(cycle uint64, scalars []uint64, arrays [][]uint64)
 }
 
@@ -60,16 +63,16 @@ type Result struct {
 	Prints []string
 	// RunNs is the self-timed duration of the pure run loop in
 	// nanoseconds: the native runner times itself around its step loop
-	// (build, exec and protocol costs excluded), the IR path times
-	// Machine.Run.
+	// (build, exec and protocol costs excluded).
 	RunNs int64
-	// Native reports that the run executed the built subprocess runner.
+	// Deprecated: Native is true on every result; a run no runner could
+	// serve returns an error wrapping ErrNoRunner instead.
 	Native bool
 	// CacheHit reports that the runner binary came from the cache without
 	// invoking `go build` in this process.
 	CacheHit bool
-	// Fallback explains why the engine ran on the IR interpreter
-	// instead of a native runner; empty on native runs.
+	// Deprecated: Fallback is always empty; the reason a run had no
+	// runner is the text of its ErrNoRunner error.
 	Fallback string
 	// Scalars and Arrays are the final architectural state, slot-indexed
 	// like model.State.
@@ -82,12 +85,12 @@ type Result struct {
 	Penalty map[string]uint64
 }
 
-// Engine runs one compiled Program on a native runner when the program
-// is at least DefaultMinBuildWords long and its runner is cached or the
-// Go toolchain is on PATH to build it, and on the in-process IR
-// interpreter otherwise. Engines are cheap; the
-// expensive artifacts (the Program, the runner binary and its resident
-// processes) are shared through the Program itself and the Cache.
+// Engine runs one compiled Program on a native runner, which needs the
+// program to be at least DefaultMinBuildWords long and its runner to be
+// cached or the Go toolchain to be on PATH to build it. Engines are
+// cheap; the expensive artifacts (the Program, the runner binary and its
+// resident processes) are shared through the Program itself and the
+// Cache.
 type Engine struct {
 	P     *Program
 	Cache *Cache
@@ -95,69 +98,28 @@ type Engine struct {
 }
 
 // NewEngine creates an engine over a compiled program. cache may be nil,
-// which confines the engine to the IR interpreter.
+// in which case every run fails with ErrNoRunner.
 func NewEngine(p *Program, cache *Cache, opt Options) *Engine {
 	return &Engine{P: p, Cache: cache, Opt: opt}
 }
 
-// Run executes up to max control steps and returns the result. The
-// engine degrades to the IR interpreter on any native-path obstacle,
-// recording the reason in Result.Fallback.
+// Run executes up to max control steps on a native runner and returns
+// the result. When no runner can serve the run, it returns a nil result
+// and an error wrapping ErrNoRunner that names the reason. A runtime
+// error the runner reports is the simulation's own: it comes with the
+// partial result and is final.
 func (e *Engine) Run(max uint64) (*Result, error) {
-	reason := e.nativeObstacle()
-	if reason == "" {
-		res, err := e.runNative(max)
-		if err == nil || res != nil {
-			// res != nil with an error is a simulation error (a runtime "e"
-			// line): the IR backend would reproduce it, so it is final.
-			return res, err
-		}
-		reason = err.Error()
+	if e.Cache == nil {
+		return nil, fmt.Errorf("%w: no runner cache configured", ErrNoRunner)
 	}
-	res, err := e.runIR(max)
-	if res != nil {
-		res.Fallback = reason
+	if n := len(e.P.Words); n < DefaultMinBuildWords {
+		return nil, fmt.Errorf("%w: program has %d words, below the %d-word build threshold", ErrNoRunner, n, DefaultMinBuildWords)
+	}
+	res, err := e.runNative(max)
+	if err != nil && res == nil {
+		return nil, fmt.Errorf("%w: %w", ErrNoRunner, err)
 	}
 	return res, err
-}
-
-// nativeObstacle reports why the native path cannot run ("" = it can).
-func (e *Engine) nativeObstacle() string {
-	if e.Cache == nil {
-		return "no runner cache configured"
-	}
-	if len(e.P.Words) < DefaultMinBuildWords {
-		return fmt.Sprintf("program has %d words, below the %d-word build threshold", len(e.P.Words), DefaultMinBuildWords)
-	}
-	return ""
-}
-
-// runIR executes on the in-process threaded-code interpreter.
-func (e *Engine) runIR(max uint64) (*Result, error) {
-	m := e.P.NewMachine()
-	res := &Result{}
-	m.OnPrint = func(line string) {
-		res.Prints = append(res.Prints, line)
-		if e.Opt.OnPrint != nil {
-			e.Opt.OnPrint(line)
-		}
-	}
-	if cb := e.Opt.OnCycleState; cb != nil {
-		m.OnCycle = func(mm *Machine) {
-			cb(mm.Cycles(), mm.Scalars(), mm.Arrays())
-		}
-	}
-	start := time.Now()
-	steps, err := m.Run(max)
-	res.RunNs = time.Since(start).Nanoseconds()
-	res.Steps = steps
-	res.Halted = m.Halted()
-	res.Scalars = m.Scalars()
-	res.Arrays = m.Arrays()
-	if err != nil {
-		return res, err
-	}
-	return res, nil
 }
 
 // runNative checks a resident runner out of the cache, serves the run on
@@ -178,7 +140,7 @@ func (e *Engine) runNative(max uint64) (*Result, error) {
 	var rt *runtimeError
 	if errors.As(err, &rt) {
 		// A runtime "e" line is a simulation error, not a native-path
-		// failure: the partial result travels with it, like the IR path.
+		// failure: the partial result travels with it.
 		return res, err
 	}
 	return nil, err

@@ -2,8 +2,8 @@ package gosim
 
 import (
 	"errors"
-	"fmt"
 	"os/exec"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -272,68 +272,6 @@ func refSim(t *testing.T, mc *core.Machine, prog *asm.Program) *sim.Simulator {
 	return s
 }
 
-// assertState compares a gosim state snapshot against the interpretive
-// simulator's, slot by slot, failing on the first differing resource.
-func assertState(t *testing.T, p *Program, sc []uint64, arr [][]uint64, ref *sim.Simulator, cycle uint64) {
-	t.Helper()
-	for i, r := range p.scalars {
-		if r == nil {
-			continue
-		}
-		if got, want := sc[i], ref.S.Scalars[i]; got != want {
-			t.Fatalf("cycle %d: scalar %s: generated %#x, interpretive %#x", cycle, r.Name, got, want)
-		}
-	}
-	for i, r := range p.arrays {
-		if r == nil {
-			continue
-		}
-		for j := range arr[i] {
-			if got, want := arr[i][j], ref.S.Arrays[i][j]; got != want {
-				t.Fatalf("cycle %d: %s[%d]: generated %#x, interpretive %#x", cycle, r.Name, j, got, want)
-			}
-		}
-	}
-}
-
-// lockstepIR steps the IR machine and the interpretive simulator together
-// and demands byte-identical architectural state after every control step.
-func lockstepIR(t *testing.T, name, lisaSrc, progSrc string) {
-	t.Helper()
-	mc, prog, p := loadPair(t, name, lisaSrc, progSrc)
-	ref := refSim(t, mc, prog)
-	var refPrints, irPrints []string
-	ref.OnPrint = func(s string) { refPrints = append(refPrints, s) }
-	m := p.NewMachine()
-	m.OnPrint = func(s string) { irPrints = append(irPrints, s) }
-	for step := 0; step < 10_000; step++ {
-		if m.Halted() != ref.Halted() {
-			t.Fatalf("cycle %d: halted: generated %v, interpretive %v", m.Cycles(), m.Halted(), ref.Halted())
-		}
-		if m.Halted() {
-			break
-		}
-		if err := ref.RunStep(); err != nil {
-			t.Fatalf("interpretive step: %v", err)
-		}
-		m.Step()
-		if err := m.Err(); err != nil {
-			t.Fatalf("generated step: %v", err)
-		}
-		assertState(t, p, m.Scalars(), m.Arrays(), ref, m.Cycles())
-	}
-	if !m.Halted() {
-		t.Fatal("program did not halt")
-	}
-	if strings.Join(refPrints, "\n") != strings.Join(irPrints, "\n") {
-		t.Fatalf("print divergence:\ninterpretive: %q\ngenerated:    %q", refPrints, irPrints)
-	}
-}
-
-func TestIRLockstepSimple16Loop(t *testing.T) { lockstepIR(t, "simple16", "", progLoop) }
-func TestIRLockstepSimple16Ops(t *testing.T)  { lockstepIR(t, "simple16", "", progOps) }
-func TestIRLockstepOpsModel(t *testing.T)     { lockstepIR(t, "opstest", opsModel, opsProg) }
-
 // TestCompileUnsupportedModels pins the supported-class boundary, which
 // is per (model, program): the multi-pipeline c62x refuses structurally
 // before looking at any program; simd16 refuses only when the program
@@ -388,56 +326,11 @@ func needGo(t *testing.T) {
 	}
 }
 
-// TestNativeMatchesIR builds the real runner and demands that the native
-// subprocess reports the identical per-cycle state stream, prints, and
-// final result as the in-process IR interpreter.
-func TestNativeMatchesIR(t *testing.T) {
-	needGo(t)
-	cases := []struct{ name, lisa, prog string }{
-		{"simple16", "", progOps},
-		{"opstest", opsModel, opsProg},
-	}
-	cache := NewCache(t.TempDir())
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, _, p := loadPair(t, tc.name, tc.lisa, tc.prog)
-			var irSnaps, natSnaps []snap
-			ir, err := NewEngine(p, nil, Options{OnCycleState: collector(&irSnaps)}).runIR(10_000)
-			if err != nil {
-				t.Fatalf("IR run: %v", err)
-			}
-			nat, err := NewEngine(p, cache, Options{OnCycleState: collector(&natSnaps)}).runNative(10_000)
-			if err != nil {
-				t.Fatalf("native run: %v", err)
-			}
-			if !nat.Native {
-				t.Fatal("native run did not report Native")
-			}
-			if ir.Steps != nat.Steps || ir.Halted != nat.Halted {
-				t.Fatalf("result divergence: IR (%d, %v), native (%d, %v)", ir.Steps, ir.Halted, nat.Steps, nat.Halted)
-			}
-			if strings.Join(ir.Prints, "\n") != strings.Join(nat.Prints, "\n") {
-				t.Fatalf("print divergence:\nIR:     %q\nnative: %q", ir.Prints, nat.Prints)
-			}
-			if len(irSnaps) != len(natSnaps) {
-				t.Fatalf("trace length: IR %d cycles, native %d", len(irSnaps), len(natSnaps))
-			}
-			for i := range irSnaps {
-				if fmt.Sprint(irSnaps[i]) != fmt.Sprint(natSnaps[i]) {
-					t.Fatalf("state divergence at trace entry %d:\nIR:     %+v\nnative: %+v", i, irSnaps[i], natSnaps[i])
-				}
-			}
-			if fmt.Sprint(ir.Scalars) != fmt.Sprint(nat.Scalars) || fmt.Sprint(ir.Arrays) != fmt.Sprint(nat.Arrays) {
-				t.Fatal("final state divergence between IR and native runs")
-			}
-		})
-	}
-}
-
-// TestLockstepNativeVsInterpretive is the ISSUE's acceptance check run
-// through the cosim machinery: the built runner's per-cycle state stream
-// drives a cosim.Lockstep against a live interpretive reference, and the
-// two must agree at every retired control step.
+// TestLockstepNativeVsInterpretive runs the built runner through the
+// cosim machinery: its per-cycle state stream drives a cosim.Lockstep
+// against a live interpretive reference, and the two must agree at every
+// retired control step, in their prints, their halt, their step counts
+// and their final scalars and memories.
 func TestLockstepNativeVsInterpretive(t *testing.T) {
 	needGo(t)
 	cache := NewCache(t.TempDir())
@@ -450,6 +343,8 @@ func TestLockstepNativeVsInterpretive(t *testing.T) {
 		t.Run(tc.label, func(t *testing.T) {
 			mc, prog, p := loadPair(t, tc.model, tc.lisa, tc.prog)
 			ref := refSim(t, mc, prog)
+			var refPrints []string
+			ref.OnPrint = func(s string) { refPrints = append(refPrints, s) }
 			var cur snap
 			ls := cosim.NewLockstepState(func() *model.State {
 				return p.StateFrom(cur.sc, cur.arr)
@@ -468,6 +363,15 @@ func TestLockstepNativeVsInterpretive(t *testing.T) {
 			}
 			if !res.Halted || !ref.Halted() {
 				t.Fatalf("halt disagreement: native %v, interpretive %v", res.Halted, ref.Halted())
+			}
+			if refSteps := ref.Profile().Steps; res.Steps != refSteps {
+				t.Fatalf("native ran %d steps, interpretive %d", res.Steps, refSteps)
+			}
+			if !reflect.DeepEqual(res.Prints, refPrints) {
+				t.Fatalf("print divergence:\nnative:       %q\ninterpretive: %q", res.Prints, refPrints)
+			}
+			if eq, diff := p.StateFrom(res.Scalars, res.Arrays).Equal(ref.S); !eq {
+				t.Fatalf("final state divergence: %s", diff)
 			}
 		})
 	}
@@ -516,57 +420,49 @@ func TestCacheBuildsOnce(t *testing.T) {
 	}
 }
 
-// TestAutoFallsBackWithoutToolchain hides the Go toolchain and expects an
-// Auto engine to degrade to the IR interpreter, recording why.
+// TestAutoFallsBackWithoutToolchain hides the Go toolchain: with an
+// empty cache no runner can be built, so the run fails with ErrNoRunner
+// naming the toolchain, for the caller to fall back on.
 func TestAutoFallsBackWithoutToolchain(t *testing.T) {
 	_, _, p := loadPair(t, "simple16", "", progOps)
 	t.Setenv("PATH", t.TempDir())
 	res, err := NewEngine(p, NewCache(t.TempDir()), Options{}).Run(10_000)
-	if err != nil {
-		t.Fatal(err)
+	if res != nil || !errors.Is(err, ErrNoRunner) {
+		t.Fatalf("Run = (%+v, %v), want no result and ErrNoRunner", res, err)
 	}
-	if res.Native {
-		t.Fatal("run claims native without a toolchain")
-	}
-	if !strings.Contains(res.Fallback, "go toolchain") {
-		t.Fatalf("fallback reason %q does not name the toolchain", res.Fallback)
-	}
-	if !res.Halted {
-		t.Fatal("IR fallback did not finish the program")
+	if !strings.Contains(err.Error(), "go toolchain not found") {
+		t.Fatalf("error %q does not name the toolchain", err)
 	}
 }
 
 // TestAutoShortProgramUsesIR: programs below the build threshold are not
-// worth a `go build`; Auto must run them in-process.
+// worth a `go build`; the run fails with ErrNoRunner naming the threshold.
 func TestAutoShortProgramUsesIR(t *testing.T) {
 	_, _, p := loadPair(t, "simple16", "", "HALT\nNOP\nNOP\n")
 	res, err := NewEngine(p, NewCache(t.TempDir()), Options{}).Run(100)
-	if err != nil {
-		t.Fatal(err)
+	if res != nil || !errors.Is(err, ErrNoRunner) {
+		t.Fatalf("Run = (%+v, %v), want no result and ErrNoRunner", res, err)
 	}
-	if res.Native {
-		t.Fatal("short program ran natively")
-	}
-	if !strings.Contains(res.Fallback, "threshold") {
-		t.Fatalf("fallback reason %q does not mention the build threshold", res.Fallback)
-	}
-	if !res.Halted {
-		t.Fatal("short program did not halt")
+	if !strings.Contains(err.Error(), "below the 4-word build threshold") {
+		t.Fatalf("error %q does not name the build threshold", err)
 	}
 }
 
-// TestIRDispatchUnknownWord steers the machine into a data word that no
-// coding matches and expects the defined dispatch error, not silence.
+// TestIRDispatchUnknownWord steers the native runner into a data word
+// that no coding matches and expects a runtime error naming the word:
+// the simulation's own error, not a missing runner.
 func TestIRDispatchUnknownWord(t *testing.T) {
+	needGo(t)
 	// Opcode 0b100001 is unassigned in simple16.
-	_, _, p := loadPair(t, "simple16", "", "NOP\n.word 0x84000000\nNOP\nNOP\nNOP\n")
-	m := p.NewMachine()
-	_, err := m.Run(100)
-	if err == nil {
-		t.Fatal("run over an undecodable word succeeded")
+	_, _, p := loadPair(t, "simple16", "", progBadWord)
+	cache := NewCache(t.TempDir())
+	defer cache.Close()
+	res, err := NewEngine(p, cache, Options{}).Run(100)
+	if err == nil || res == nil || errors.Is(err, ErrNoRunner) {
+		t.Fatalf("Run = (%+v, %v), want a runtime error with its partial result", res, err)
 	}
-	if !strings.Contains(err.Error(), "0x84000000") && !strings.Contains(err.Error(), "does not decode") && !strings.Contains(err.Error(), "unknown word") {
-		t.Fatalf("unexpected dispatch error: %v", err)
+	if !strings.Contains(err.Error(), "0x84000000") {
+		t.Fatalf("runtime error %q does not name the word", err)
 	}
 }
 

@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+
+	"golisa/internal/bitvec/kernel"
+	"golisa/internal/model"
 )
 
 // runnerVersion names the emitter and protocol generation. It is part of
@@ -183,6 +186,29 @@ func (sh *wireShape) state(ln *wireLine) ([]uint64, [][]uint64, error) {
 		}
 	}
 	return sc, arr, nil
+}
+
+// StateFrom renders a protocol state snapshot (slot-indexed scalars and
+// memories, as the native runner's trace lines carry them) into a fresh
+// model.State — the bridge between a generated run and cosim.Lockstep.
+func (p *Program) StateFrom(sc []uint64, arr [][]uint64) *model.State {
+	st := model.NewState(p.Model)
+	for i := range st.Scalars {
+		if i < len(sc) {
+			st.Scalars[i] = sc[i] & kernel.Mask(p.scalars[i].Width)
+		}
+	}
+	for i, dst := range st.Arrays {
+		if i < len(arr) {
+			mk := kernel.Mask(p.arrays[i].Width)
+			for j, v := range arr[i] {
+				if j < len(dst) {
+					dst[j] = v & mk
+				}
+			}
+		}
+	}
+	return st
 }
 
 // readHeader consumes the runner's header line and checks that it was

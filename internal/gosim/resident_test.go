@@ -8,12 +8,16 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"golisa/internal/asm"
 	"golisa/internal/bitvec/kernel"
+	"golisa/internal/core"
+	"golisa/internal/model"
 )
 
 // progBadWord steers simple16 into an undecodable word (opcode 0b100001
@@ -68,25 +72,64 @@ func onProc(pr *proc, max uint64, trace bool) runOut {
 	return o
 }
 
-func onIR(p *Program, max uint64, trace bool) runOut {
-	var o runOut
-	var opt Options
-	if trace {
-		opt.OnCycleState = collector(&o.snaps)
+// sameAsInterpretive compares a runner's run with an interpretive sim
+// run of the same program under the same step limit: steps, halt, prints
+// and the state after every completed control step. A run that fails
+// must fail on both sides, after the same number of steps.
+func sameAsInterpretive(t *testing.T, what string, mc *core.Machine, prog *asm.Program, p *Program, max uint64, got runOut) {
+	t.Helper()
+	ref := refSim(t, mc, prog)
+	var prints []string
+	ref.OnPrint = func(s string) { prints = append(prints, s) }
+	var states []*model.State
+	var n uint64
+	var err error
+	for n < max && !ref.Halted() {
+		if err = ref.RunStep(); err != nil {
+			break
+		}
+		n++
+		states = append(states, ref.S.Clone())
 	}
-	res, err := NewEngine(p, nil, opt).runIR(max)
-	o.res = res
-	if err != nil {
-		o.err = "gosim: runner: " + err.Error()
+	if (got.err != "") != (err != nil) {
+		t.Fatalf("%s: error %q, interpretive error %v", what, got.err, err)
 	}
-	return o
+	g := got.res
+	if g.Steps != n || !slices.Equal(g.Prints, prints) {
+		t.Fatalf("%s: steps %d prints %q, interpretive steps %d prints %q", what, g.Steps, g.Prints, n, prints)
+	}
+	if got.err == "" {
+		if g.Halted != ref.Halted() {
+			t.Fatalf("%s: halted %v, interpretive %v", what, g.Halted, ref.Halted())
+		}
+		if eq, diff := p.StateFrom(g.Scalars, g.Arrays).Equal(ref.S); !eq {
+			t.Fatalf("%s: final state differs from the interpretive run: %s", what, diff)
+		}
+	}
+	if got.snaps == nil {
+		return
+	}
+	// The runner reports the state after a failing step too; the
+	// interpretive simulator stops inside it.
+	want := len(states)
+	if got.err != "" {
+		want++
+	}
+	if len(got.snaps) != want {
+		t.Fatalf("%s: %d cycle states, want %d", what, len(got.snaps), want)
+	}
+	for i, want := range states {
+		if eq, diff := p.StateFrom(got.snaps[i].sc, got.snaps[i].arr).Equal(want); !eq {
+			t.Fatalf("%s: state after step %d differs from the interpretive run: %s", what, i+1, diff)
+		}
+	}
 }
 
 // TestResidentRunnerExact serves an interleaved schedule of runs — full
 // and step-limited, traced and untraced — on one resident runner per
 // program, and demands that every run equals the same run on a freshly
-// started runner and on the IR interpreter: nothing a run leaves behind
-// may leak into the next.
+// started runner and on the interpretive simulator: nothing a run leaves
+// behind may leak into the next.
 func TestResidentRunnerExact(t *testing.T) {
 	needGo(t)
 	cache := NewCache(t.TempDir())
@@ -104,7 +147,7 @@ func TestResidentRunnerExact(t *testing.T) {
 	}{{500, false}, {7, true}, {500, true}, {3, false}, {500, false}, {40, true}}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, p := loadPair(t, tc.model, tc.lisa, tc.prog)
+			mc, prog, p := loadPair(t, tc.model, tc.lisa, tc.prog)
 			resident, _, err := cache.checkout(p)
 			if err != nil {
 				t.Fatal(err)
@@ -124,7 +167,7 @@ func TestResidentRunnerExact(t *testing.T) {
 				got := onProc(resident, rq.max, rq.trace)
 				what := fmt.Sprintf("run %d (max %d, trace %v)", i, rq.max, rq.trace)
 				sameRun(t, what+" resident vs fresh runner", got, want)
-				sameRun(t, what+" resident runner vs IR", got, onIR(p, rq.max, rq.trace))
+				sameAsInterpretive(t, what+" resident runner vs interpretive", mc, prog, p, rq.max, got)
 			}
 		})
 	}
@@ -147,8 +190,8 @@ func TestEngineKeepsRunnerResident(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Native || !res.Halted || (i > 0 && !res.CacheHit) {
-			t.Fatalf("run %d: native=%v halted=%v hit=%v", i, res.Native, res.Halted, res.CacheHit)
+		if !res.Halted || (i > 0 && !res.CacheHit) {
+			t.Fatalf("run %d: halted=%v hit=%v", i, res.Halted, res.CacheHit)
 		}
 	}
 	if cache.Builds() != 1 || cache.Starts() != 1 {
@@ -158,8 +201,8 @@ func TestEngineKeepsRunnerResident(t *testing.T) {
 	_, _, bad := loadPair(t, "simple16", "", progBadWord)
 	for i := 0; i < 2; i++ {
 		res, err := NewEngine(bad, cache, Options{}).runNative(100)
-		if err == nil || res == nil || !res.Native {
-			t.Fatalf("bad-word run %d: res %+v, err %v; want a native runtime error", i, res, err)
+		if err == nil || res == nil {
+			t.Fatalf("bad-word run %d: res %+v, err %v; want a runtime error with its partial result", i, res, err)
 		}
 	}
 	if got := cache.Starts(); got != 3 {
@@ -221,16 +264,17 @@ func TestCacheCloseReapsRunners(t *testing.T) {
 // TestStaleRunnerNotReused plants stub runners that answer every run with
 // a bogus one-step result. Neither a binary at the unversioned key path
 // nor one whose header names another runner version may be used: the
-// engine must report the real run.
+// engine must report the real run, as the interpretive simulator runs it.
 func TestStaleRunnerNotReused(t *testing.T) {
 	needGo(t)
 	if runtime.GOOS == "windows" {
 		t.Skip("the stub runner is a shell script")
 	}
-	_, _, p := loadPair(t, "simple16", "", progOps)
-	want, err := NewEngine(p, nil, Options{}).runIR(10_000)
-	if err != nil {
-		t.Fatal(err)
+	mc, prog, p := loadPair(t, "simple16", "", progOps)
+	ref := refSim(t, mc, prog)
+	wantSteps, err := ref.Run(10_000)
+	if err != nil || !ref.Halted() {
+		t.Fatalf("interpretive run: halted %v, err %v", ref.Halted(), err)
 	}
 	cases := []struct{ name, key, header string }{
 		{"unversioned-key", p.ModelHash + "-" + p.ProgHash,
@@ -254,9 +298,8 @@ func TestStaleRunnerNotReused(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !res.Native || res.Steps != want.Steps || !res.Halted {
-				t.Fatalf("native=%v steps=%d halted=%v (fallback %q); want native, %d steps, halted",
-					res.Native, res.Steps, res.Halted, res.Fallback, want.Steps)
+			if res.Steps != wantSteps || !res.Halted {
+				t.Fatalf("steps=%d halted=%v; want %d steps, halted", res.Steps, res.Halted, wantSteps)
 			}
 			if res.CacheHit || cache.Builds() != 1 {
 				t.Fatalf("hit=%v builds=%d; want the stale runner replaced by one build", res.CacheHit, cache.Builds())
@@ -281,8 +324,8 @@ func TestPrebuiltRunnerWithoutToolchain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Native || res.Fallback != "" || !res.Halted {
-		t.Fatalf("native=%v fallback=%q halted=%v; want a native run from the prebuilt runner", res.Native, res.Fallback, res.Halted)
+	if !res.Halted {
+		t.Fatal("the run from the prebuilt runner did not halt")
 	}
 }
 

@@ -29,10 +29,12 @@ type Mode int
 // threaded code compiled once from the typed IR (the paper's
 // compiled-simulation principle).
 // Generated is the true compiled tier (internal/gosim): the program is
-// translated to specialized Go code. A sim.Simulator built in Generated
-// mode behaves exactly like Compiled — it is the in-process fallback
-// engine the generated tier degrades to when a model or program is
-// outside the static-schedule class gosim can translate.
+// translated to specialized Go code and run by a native runner. A
+// sim.Simulator built in Generated mode behaves exactly like Compiled —
+// it is the in-process engine the generated tier falls back to when a
+// model or program is outside the static-schedule class gosim can
+// translate, when no native runner can serve the run, or when the run
+// needs an in-process observer.
 //
 // The values are stored in .lrec headers. Value 1 belonged to a retired
 // decode-cache-only engine and stays unassigned.
